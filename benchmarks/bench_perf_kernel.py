@@ -1,4 +1,4 @@
-"""Engine kernel microbenchmark — the three-engine speedup ladder.
+"""Engine kernel microbenchmark — the fast engine's speedup over reference.
 
 Measures the simulation kernel itself (trace pre-materialized, only
 ``core.run`` timed) over olden-style pointer chases and a streaming
@@ -6,12 +6,9 @@ workload, each on the raw kernel (``no-prefetch``) and on the
 stream-prefetcher baseline.  Every cell runs through the sweep engine
 (crash isolation + checkpoint-resume) via
 :func:`repro.experiments.kernel_bench.kernel_bench_worker`, which times
-all available engines with interleaved best-of rounds and verifies they
-returned bit-identical results.
-
-The ladder: ``reference`` (event-faithful scalar) -> ``fast`` (flat
-dicts) -> ``batch`` (columnar numpy state).  Without numpy the batch
-column is reported as ``null`` and the ladder degrades to the pair.
+``reference`` (event-faithful objects) and ``fast`` (flat dicts) with
+interleaved best-of rounds and verifies they returned bit-identical
+results.
 
 Two entry points:
 
@@ -20,10 +17,9 @@ Two entry points:
 * ``PYTHONPATH=src python benchmarks/bench_perf_kernel.py`` — the full
   measurement, written to ``BENCH_kernel.json`` at the repo root.
 
-Acceptance bars, both on the pointer-chase kernel cell
-(``mst`` / ``no-prefetch``): the fast engine must hold >= 2x ops/sec
-over reference, and the batch engine >= 2x over fast (>= 4x over
-reference).
+Acceptance bar, on the pointer-chase kernel cell (``mst`` /
+``no-prefetch``): the fast engine must hold >= 2x ops/sec over
+reference.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.core.config import SystemConfig
+from repro.core.config import ENGINES, SystemConfig
 from repro.experiments.engine import (
     CheckpointJournal,
     ExecutionEngine,
@@ -47,7 +43,6 @@ from repro.experiments.kernel_bench import (
     OPS_ENV,
     REPEATS_ENV,
     kernel_bench_worker,
-    measured_engines,
 )
 from repro.experiments.reporting import format_table
 
@@ -70,30 +65,18 @@ _METRIC_KEYS = (
     "engines",
     "reference_seconds",
     "fast_seconds",
-    "batch_seconds",
-    "batch_decode_seconds",
     "reference_ops_per_sec",
     "fast_ops_per_sec",
-    "batch_ops_per_sec",
     "speedup",
-    "batch_speedup",
-    "batch_speedup_vs_fast",
     "identical",
 )
 
 
-def _versions() -> Dict[str, Optional[str]]:
-    """Interpreter/library versions the measurement depends on."""
-    try:
-        import numpy
-
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
+def _versions() -> Dict[str, str]:
+    """Interpreter versions the measurement depends on."""
     return {
         "python": platform.python_version(),
         "python_implementation": platform.python_implementation(),
-        "numpy": numpy_version,
     }
 
 
@@ -150,9 +133,6 @@ def compute(
     pointer_cells = [
         c for c in kernel_cells if c["class"] == "pointer-chase"
     ]
-    batch_pointer = [
-        c for c in pointer_cells if c.get("batch_speedup") is not None
-    ]
     headline = {
         "pointer_chase_kernel_speedup": (
             headline_cell["speedup"] if headline_cell else None
@@ -162,24 +142,11 @@ def compute(
             if pointer_cells
             else None
         ),
-        "batch_pointer_chase_kernel_speedup": (
-            headline_cell.get("batch_speedup") if headline_cell else None
-        ),
-        "batch_pointer_chase_speedup_vs_fast": (
-            headline_cell.get("batch_speedup_vs_fast")
-            if headline_cell
-            else None
-        ),
-        "max_batch_pointer_chase_speedup_vs_fast": (
-            max(c["batch_speedup_vs_fast"] for c in batch_pointer)
-            if batch_pointer
-            else None
-        ),
         "all_identical": bool(cells) and all(c["identical"] for c in cells),
     }
     return {
         "benchmark": "bench_perf_kernel",
-        "engines": list(measured_engines()),
+        "engines": list(ENGINES),
         "config": "scaled",
         "input_set": INPUT_SET,
         "op_budget": _env_int(OPS_ENV),
@@ -214,16 +181,13 @@ def render(payload: Dict[str, Any]) -> str:
                 f"{cell['ops']}",
                 fmt_ops(cell["reference_ops_per_sec"]),
                 fmt_ops(cell["fast_ops_per_sec"]),
-                fmt_ops(cell.get("batch_ops_per_sec")),
                 fmt_ratio(cell["speedup"]),
-                fmt_ratio(cell.get("batch_speedup")),
                 "yes" if cell["identical"] else "NO",
             )
         )
     for failure in payload["failures"]:
         rows.append(
-            (failure["cell"], "FAILED", failure["reason"],
-             "", "", "", "", "", "")
+            (failure["cell"], "FAILED", failure["reason"], "", "", "", "")
         )
     headline = payload["headline"]
     rows.append(
@@ -233,17 +197,15 @@ def render(payload: Dict[str, Any]) -> str:
             "",
             "",
             "",
-            "",
             fmt_ratio(headline["pointer_chase_kernel_speedup"]),
-            fmt_ratio(headline["batch_pointer_chase_kernel_speedup"]),
             "",
         )
     )
     return format_table(
         ["workload", "mechanism", "ops", "ref ops/s", "fast ops/s",
-         "batch ops/s", "fast/ref", "batch/ref", "identical"],
+         "fast/ref", "identical"],
         rows,
-        title="Engine kernel microbenchmark — three-engine ladder",
+        title="Engine kernel microbenchmark — fast vs reference",
     )
 
 
@@ -262,13 +224,11 @@ def bench_perf_kernel(benchmark, show):
     assert not payload["failures"]
     assert payload["headline"]["all_identical"]
     assert all(cell["speedup"] > 0 for cell in payload["cells"])
-    if "batch" in payload["engines"]:
-        assert all(cell["batch_speedup"] > 0 for cell in payload["cells"])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="three-engine kernel microbenchmark"
+        description="engine kernel microbenchmark"
     )
     repo_root = Path(__file__).resolve().parent.parent
     parser.add_argument(

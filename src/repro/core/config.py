@@ -41,11 +41,10 @@ _POSITIVE_FIELDS = (
 
 
 #: valid simulation engines: the readable object-per-block reference
-#: model, the flat array-backed fast kernel, and the numpy columnar batch
-#: engine (see DESIGN.md, "Engine internals & performance").  All three
-#: produce bit-identical results, enforced by tests/differential/.
-#: "batch" requires numpy (the optional ``[perf]`` extra).
-ENGINES = ("reference", "fast", "batch")
+#: model and the flat array-backed fast kernel (see DESIGN.md, "Engine
+#: internals & performance").  Both produce bit-identical results,
+#: enforced by tests/differential/.
+ENGINES = ("reference", "fast")
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,8 @@ class SystemConfig:
     # -- engine ---------------------------------------------------------------
     #: which core/cache implementation executes the trace.  "reference" is
     #: the original object-per-access model; "fast" is the flat-array
-    #: kernel; "batch" decodes the trace into numpy columns up front and
-    #: vectorizes the per-op derivations (requires numpy).  All three are
-    #: behavior-identical (differential-tested), so this knob trades
-    #: readability for speed, never results.
+    #: kernel.  Both are behavior-identical (differential-tested), so this
+    #: knob trades readability for speed, never results.
     engine: str = "reference"
 
     # -- core ---------------------------------------------------------------

@@ -172,12 +172,15 @@ class RemoteBackend(StdioPoolBackend):
             if spec.pythonpath:
                 extra.append(spec.pythonpath)
             env = child_environment(extra)
+        transport = None
         try:
             transport = StdioTransport(
                 spec.worker_argv(), env=env, host=spec.name
             )
             transport.ping(self.connect_timeout)
         except BackendConnectError as error:
+            if transport is not None:
+                transport.kill()  # spawned but unhealthy: reap it
             self._mark_lost(spec, str(error))
             return None
         self._transports.append(transport)

@@ -201,28 +201,12 @@ def make_dram(config: SystemConfig, n_cores: int = 1) -> DramController:
     )
 
 
-#: engine name -> core implementation (always-importable engines only;
-#: "batch" is resolved lazily in :func:`core_class_for` because its
-#: module imports numpy, an optional dependency)
+#: engine name -> core implementation
 ENGINE_CLASSES = {"reference": Core, "fast": FastCore}
 
 
 def core_class_for(config: SystemConfig):
     """The Core implementation selected by ``config.engine``."""
-    if config.engine == "batch":
-        try:
-            from repro.core.batchcpu import BatchCore
-        except ImportError:
-            raise ConfigError(
-                'engine "batch" requires numpy, which is not installed',
-                fields={
-                    "engine": (
-                        'install the [perf] extra (pip install repro[perf]) '
-                        'or select engine="fast"'
-                    )
-                },
-            ) from None
-        return BatchCore
     try:
         return ENGINE_CLASSES[config.engine]
     except KeyError:

@@ -20,7 +20,7 @@ the job's config, so the same config must always produce the same
 simulation.  Every stochastic choice therefore draws from a
 ``random.Random`` seeded from the config's *identity* (via
 :func:`stable_seed` — deliberately excluding the ``engine`` field so
-the reference/fast/batch engines stay bit-identical) plus the
+the reference and fast engines stay bit-identical) plus the
 user-visible ``seed`` param.  Tables trained offline
 (:mod:`repro.policy.training`) travel *inside* ``policy_params`` as a
 compact string, so a trained controller's content hash covers the exact
@@ -112,7 +112,7 @@ def greedy_action(row: List[float]) -> int:
 def stable_seed(config, extra: int = 0) -> int:
     """A deterministic RNG seed derived from a config's *identity*.
 
-    Excludes ``engine``: the three engines must make identical throttling
+    Excludes ``engine``: both engines must make identical throttling
     decisions (the differential harness compares them bit-for-bit), and
     which kernel executes the trace is not part of what the simulation
     computes.  Everything else — including ``policy_params`` itself —

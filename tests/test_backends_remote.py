@@ -18,7 +18,12 @@ from repro.experiments.engine import (
     default_worker,
 )
 from repro.errors import BackendConnectError
-from repro.experiments.engine.backends import HostSpec, RemoteBackend
+from repro.experiments.engine.backends import (
+    HostSpec,
+    RemoteBackend,
+    StdioTransport,
+    remote,
+)
 from repro.telemetry import EventTracer
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
@@ -40,7 +45,9 @@ def make_engine(tmp_path, hosts, jobs=2, **overrides):
         retry=FAST_RETRY,
         checkpoint=CheckpointJournal(tmp_path / "sweep.jsonl"),
         worker=deterministic_worker,
-        backend=RemoteBackend(hosts),
+        # sub-second cooldown: a test that loses every host must not
+        # wait out the production recheck interval between retries
+        backend=RemoteBackend(hosts, recheck_seconds=0.1),
     )
     settings.update(overrides)
     return ExecutionEngine(**settings)
@@ -155,6 +162,26 @@ class TestHostHealth:
         assert failure.failure.error_type == "BackendConnectError"
         # the bounded retry budget is what guarantees termination
         assert failure.attempts == FAST_RETRY.max_attempts
+
+    def test_failed_health_check_reaps_the_worker(self, monkeypatch):
+        spawned = []
+
+        class RecordingTransport(StdioTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(remote, "StdioTransport", RecordingTransport)
+        backend = RemoteBackend([HostSpec("bad", command=("false",))])
+        backend.bind(default_worker, lambda kind, name, **args: None, 1)
+        try:
+            assert backend._session_for(backend.hosts[0]) is None
+        finally:
+            backend.close()
+        (transport,) = spawned
+        assert transport.process.returncode is not None
+        assert transport.process.stdin.closed
+        assert transport.process.stdout.closed
 
     def test_lost_host_cools_down_then_rejoins(self):
         backend = RemoteBackend(

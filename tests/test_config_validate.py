@@ -54,6 +54,14 @@ def test_cache_size_must_be_block_multiple():
     assert "l2_size" in info.value.fields
 
 
+@pytest.mark.parametrize("engine", ["warp", "batch"])
+def test_unknown_engine_rejected(engine):
+    config = SystemConfig.scaled().with_overrides(engine=engine)
+    with pytest.raises(ConfigError) as info:
+        config.validate()
+    assert "engine" in info.value.fields
+
+
 def test_threshold_ordering_rejected():
     config = SystemConfig.scaled().with_overrides(a_low=0.9, a_high=0.7)
     with pytest.raises(ConfigError) as info:

@@ -25,7 +25,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SystemConfig
+from repro.core.config import ENGINES, SystemConfig
 from repro.policy import (
     ACTIONS,
     FeedbackSignals,
@@ -121,7 +121,7 @@ def test_stable_seed_is_engine_invariant_but_params_sensitive():
     base = SystemConfig.scaled()
     seeds = {
         stable_seed(base.with_overrides(engine=engine))
-        for engine in ("reference", "fast", "batch")
+        for engine in ENGINES
     }
     assert len(seeds) == 1
     assert stable_seed(base) != stable_seed(

@@ -21,6 +21,20 @@ def sample_trace():
     ]
 
 
+def numbered_trace(n):
+    """*n* ops whose every field varies with the op's index."""
+    return [
+        MemOp(
+            0x400000 + 4 * i,
+            0x10000 + 64 * i,
+            i % 3 != 0,
+            i % 7,
+            i - 2 if i % 5 == 0 and i >= 2 else -1,
+        )
+        for i in range(n)
+    ]
+
+
 RECORD_SIZE = 17  # <IIBIi>
 
 
@@ -49,13 +63,22 @@ class TestBinaryCorruption:
         with pytest.raises(ValueError):  # backwards-compatible catch
             list(load_trace(path))
 
-    def test_non_strict_salvages_intact_prefix(self, tmp_path):
+    @pytest.mark.parametrize(
+        "trace,cut",
+        [
+            pytest.param(sample_trace(), 3, id="short-3"),
+            pytest.param(numbered_trace(100), 1, id="long-1"),
+            pytest.param(numbered_trace(100), 5, id="long-5"),
+            pytest.param(numbered_trace(100), 16, id="long-16"),
+        ],
+    )
+    def test_non_strict_salvages_intact_prefix(self, tmp_path, trace, cut):
         path = tmp_path / "t.trace"
-        save_trace(path, sample_trace())
-        path.write_bytes(path.read_bytes()[:-3])
+        save_trace(path, trace)
+        path.write_bytes(path.read_bytes()[:-cut])
         with pytest.warns(UserWarning, match="truncated"):
             ops = list(load_trace(path, strict=False))
-        assert ops == sample_trace()[:2]
+        assert ops == trace[:-1]
 
     def test_non_strict_still_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.trace"
