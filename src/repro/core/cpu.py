@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Deque, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.config import SystemConfig
@@ -127,6 +129,24 @@ class Core:
         for op in trace:
             self.step(op)
         return self.finish()
+
+    def run_until(
+        self, trace: Iterable[MemOp], until: float
+    ) -> Generator[None, float, None]:
+        """``run`` in resumable slices, for interleaving cores in time.
+
+        Executes ops while this core's clock is at most ``until`` and
+        yields before the first op that would start later; ``send``
+        resumes it with a new bound.  It returns once the trace is
+        exhausted with the clock within the bound; the caller then
+        calls :meth:`finish`.
+        """
+        for op in trace:
+            if self.cycle > until:
+                until = yield
+            self.step(op)
+        if self.cycle > until:
+            yield
 
     def step(self, op: MemOp) -> None:
         """Execute one memory operation (plus its preceding work)."""

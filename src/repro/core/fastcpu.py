@@ -7,9 +7,12 @@ same feedback/throttling hooks — but restructured for speed:
 * caches are :class:`~repro.cache.set_assoc.FlatSetAssociativeCache`
   instances (tag->slot dicts plus flat metadata arrays) instead of
   per-block :class:`~repro.cache.block.CacheBlock` objects;
-* the per-op hot path (``step``) is one inlined function: no
+* the per-op hot path is one inlined loop (``run_until``): no
   ``lookup``/``insert``/``_l2_hit_load`` call chain, no dataclass
-  construction, no repeated ``block_address`` calls;
+  construction, no repeated ``block_address`` calls.  Single-core
+  ``run`` drives it over the whole trace; ``MultiCoreSystem`` resumes
+  it one slice at a time, so both paths share this one copy of the
+  L1 -> L2 -> DRAM walk;
 * per-op prefetcher observation dispatch is precomputed once
   (``_train_dispatch``) instead of re-resolving attribute chains per
   access;
@@ -24,7 +27,7 @@ here, never a tolerable drift.  Cold paths (deferred CDP scans, prefetch
 issue, value hooks, result assembly) are inherited from ``Core``
 unchanged.
 
-Telemetry contract: ``run`` binds ``feedback.record_use`` /
+Telemetry contract: the loop binds ``feedback.record_use`` /
 ``record_demand_miss`` / ``record_eviction`` as locals once at entry, so
 a :class:`~repro.telemetry.tracer.TracingFeedbackCollector` (chosen at
 construction time when event tracing is on) binds transparently — and
@@ -36,7 +39,8 @@ loop is byte-for-byte the pre-telemetry path.
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from typing import Generator, Iterable
 
 from repro.cache.set_assoc import FlatSetAssociativeCache
 from repro.core.cpu import Core
@@ -85,15 +89,25 @@ class FastCore(Core):
     # -- public driving interface -------------------------------------------
 
     def run(self, trace: Iterable[MemOp]) -> CoreResult:
-        """Drive the whole trace through one localized loop.
+        """Drive the whole trace through the op loop in one slice."""
+        next(self.run_until(trace, math.inf), None)
+        return self.finish()
 
-        Per-op algorithm identical to :meth:`step`, but hot mutable
+    def step(self, op: MemOp) -> None:
+        """One memory op, fed through the same loop as ``run``."""
+        next(self.run_until((op,), math.inf), None)
+
+    def run_until(  # noqa: C901 - deliberately inlined
+        self, trace: Iterable[MemOp], until: float
+    ) -> Generator[None, float, None]:
+        """The op loop, resumable as :meth:`Core.run_until` specifies.
+
+        Per-op algorithm identical to ``Core.step``, but hot mutable
         state (cycle, retired instructions, load sequence, the
         completion map, cache hit/miss counters) lives in locals across
-        ops and is flushed to ``self`` around every cold-path call, so
-        the common case runs with no attribute traffic.  ``step``
-        remains the one-op-at-a-time path (``MultiCoreSystem``
-        interleaves cores through it).
+        ops and is flushed to ``self`` around every cold-path call and
+        whenever the loop suspends, so the common case runs with no
+        attribute traffic.
         """
         # loop-invariant bindings
         l1 = self.l1
@@ -147,7 +161,8 @@ class FastCore(Core):
         issue_prefetch = self._issue_prefetch
         value_hooks = self._value_hooks
 
-        # hot mutable state, flushed around cold calls and at the end
+        # hot mutable state, flushed around cold calls, at every
+        # suspension and at the end
         cycle = self.cycle
         retired = self.retired
         seq = self._load_seq
@@ -159,6 +174,17 @@ class FastCore(Core):
         l2_misses = l2.misses
 
         for op in trace:
+            if cycle > until:
+                self.cycle = cycle
+                self.retired = retired
+                self._load_seq = seq
+                self._completions = completions
+                l1.hits = l1_hits
+                l1.misses = l1_misses
+                l1.evictions = l1_evictions
+                l2.hits = l2_hits
+                l2.misses = l2_misses
+                until = yield
             if deferred and deferred[0][0] <= cycle:
                 self.cycle = cycle
                 self.retired = retired
@@ -203,7 +229,7 @@ class FastCore(Core):
                             gendler.record_use(owner)
                         if owner == cdp_name and pg_observer is not None:
                             pg_observer.on_use(tag)
-                    # == FastCore._fast_fill_l1 (dirty store fill)
+                    # == Core._fill_l1 (dirty store fill)
                     if len(l1_set) >= l1_ways:
                         victim_tag = next(iter(l1_set))  # LRU victim
                         slot = l1_set.pop(victim_tag)
@@ -232,7 +258,7 @@ class FastCore(Core):
                 demand_access(cycle, tag)
                 self.bus_transfers += 1
                 fill_l2(tag, fill_time=cycle, demand_pc=op.pc)
-                # == FastCore._fast_fill_l1 (dirty store fill)
+                # == Core._fill_l1 (dirty store fill)
                 if len(l1_set) >= l1_ways:
                     victim_tag = next(iter(l1_set))  # LRU victim
                     slot = l1_set.pop(victim_tag)
@@ -325,7 +351,7 @@ class FastCore(Core):
                             hw_filter.on_prefetch_used(tag)
                         if pg_observer is not None:
                             pg_observer.on_use(tag)
-                # == FastCore._fast_fill_l1 (clean load fill)
+                # == Core._fill_l1 (clean load fill)
                 if len(l1_set) >= l1_ways:
                     victim_tag = next(iter(l1_set))  # LRU victim
                     slot = l1_set.pop(victim_tag)
@@ -377,7 +403,7 @@ class FastCore(Core):
                         )
                         for request in requests:
                             issue_prefetch(request, ready)
-                # == FastCore._fast_fill_l1 (clean load fill)
+                # == Core._fill_l1 (clean load fill)
                 if len(l1_set) >= l1_ways:
                     victim_tag = next(iter(l1_set))  # LRU victim
                     slot = l1_set.pop(victim_tag)
@@ -426,223 +452,10 @@ class FastCore(Core):
         l1.evictions = l1_evictions
         l2.hits = l2_hits
         l2.misses = l2_misses
-        return self.finish()
+        if cycle > until:
+            yield
 
-    def step(self, op: MemOp) -> None:  # noqa: C901 - deliberately inlined
-        """One memory op; semantically identical to ``Core.step``."""
-        deferred = self._deferred
-        if deferred and deferred[0][0] <= self.cycle:
-            self._drain_deferred()
-        work = op.work + 1
-        cycle = self.cycle + work * self._dispatch_cost
-        retired = self.retired + work
-        self.retired = retired
-        outstanding = self._outstanding
-        if outstanding:
-            # == Core._enforce_rob_span
-            horizon = retired - self._rob_size
-            while outstanding and outstanding[0][1] <= horizon:
-                completion = outstanding.popleft()[0]
-                if completion > cycle:
-                    cycle = completion
-        self.cycle = cycle
-
-        addr = op.addr
-        tag = addr & self._tag_mask
-        shift = self._block_shift
-        l1 = self.l1
-        l1_set_index = (tag >> shift) & self._l1_set_mask
-        l1_set = l1._sets[l1_set_index]
-
-        if not op.is_load:
-            # ---- store path (== Core._store) ----------------------------
-            slot = l1_set.get(tag)
-            if slot is not None:
-                l1.hits += 1
-                l1_set[tag] = l1_set.pop(tag)  # LRU touch
-                l1.dirty[slot] = 1
-                return
-            l1.misses += 1
-            l2 = self.l2
-            l2_set = l2._sets[(tag >> shift) & self._l2_set_mask]
-            slot = l2_set.get(tag)
-            if slot is not None:
-                l2.hits += 1
-                l2_set[tag] = l2_set.pop(tag)
-                owner_arr = l2.owner
-                owner = owner_arr[slot]
-                if owner is not None:  # == CacheBlock.mark_used
-                    owner_arr[slot] = None
-                    self.feedback.record_use(
-                        owner, late=l2.fill_time[slot] > cycle
-                    )
-                    gendler = self.gendler
-                    if gendler is not None:
-                        gendler.record_use(owner)
-                    if owner == self._cdp_name and self.pg_observer is not None:
-                        self.pg_observer.on_use(tag)
-                self._fast_fill_l1(tag, l1_set_index, 1)
-                if self._train_on_stores and self._has_train:
-                    self._fast_train(addr, op.pc, True)
-                return
-            l2.misses += 1
-            self.feedback.record_demand_miss(tag)
-            self.dram.demand_access_fast(cycle, tag)
-            self.bus_transfers += 1
-            self._fill_l2(tag, fill_time=cycle, demand_pc=op.pc)
-            self._fast_fill_l1(tag, l1_set_index, 1)
-            if self._train_on_stores and self._has_train:
-                self._fast_train(addr, op.pc, False)
-            return
-
-        # ---- load path (== Core._load) ----------------------------------
-        seq = self._load_seq
-        self._load_seq = seq + 1
-        dep = op.dep
-        if dep < 0:
-            ready = cycle
-        else:  # == Core._ready_time: max(cycle, completion of producer)
-            ready = self._completions.get(dep, 0.0)
-            if ready < cycle:
-                ready = cycle
-
-        slot = l1_set.get(tag)
-        if slot is not None:
-            l1.hits += 1
-            l1_set[tag] = l1_set.pop(tag)
-            completion = ready + self._l1_latency
-            completions = self._completions
-            completions[seq] = completion
-            if len(completions) >= self._completion_prune_at:
-                horizon = seq - self._completion_prune_at // 2
-                self._completions = {
-                    s: c for s, c in completions.items() if s > horizon
-                }
-            if completion > cycle:
-                # == Core._push_outstanding (MSHR overflow out of line)
-                while outstanding and outstanding[0][0] <= cycle:
-                    outstanding.popleft()
-                outstanding.append((completion, retired))
-                if len(outstanding) > self._l2_mshrs:
-                    self._mshr_bound()
-            if self._has_value_hooks:
-                self._value_hooks(op, completion)
-            return
-
-        l1.misses += 1
-        l2 = self.l2
-        l2_set = l2._sets[(tag >> shift) & self._l2_set_mask]
-        slot = l2_set.get(tag)
-        if slot is not None:
-            # ---- L2 hit (== Core._l2_hit_load) --------------------------
-            l2.hits += 1
-            l2_set[tag] = l2_set.pop(tag)
-            fill_arr = l2.fill_time
-            fill_time = fill_arr[slot]
-            late = fill_time > ready
-            if late:
-                # demand merge with the in-flight fill, promoted to
-                # demand priority (bounded by a fresh demand fetch)
-                data_ready = ready + self._unloaded_latency
-                if fill_time < data_ready:
-                    data_ready = fill_time
-                fill_arr[slot] = data_ready
-            else:
-                data_ready = ready
-            completion = data_ready + self._l2_latency
-            owner_arr = l2.owner
-            owner = owner_arr[slot]
-            if owner is not None:  # == CacheBlock.mark_used
-                owner_arr[slot] = None
-                self.feedback.record_use(owner, late=late)
-                gendler = self.gendler
-                if gendler is not None:
-                    gendler.record_use(owner)
-                if owner == self._cdp_name:
-                    if self.hw_filter is not None:
-                        self.hw_filter.on_prefetch_used(tag)
-                    if self.pg_observer is not None:
-                        self.pg_observer.on_use(tag)
-            self._fast_fill_l1(tag, l1_set_index, 0)
-            while outstanding and outstanding[0][0] <= cycle:
-                outstanding.popleft()
-            outstanding.append((completion, retired))
-            if len(outstanding) > self._l2_mshrs:
-                self._mshr_bound()
-            if self._has_train:
-                self._fast_train(addr, op.pc, True)
-        else:
-            # ---- L2 miss (== Core._l2_miss_load) ------------------------
-            l2.misses += 1
-            self.feedback.record_demand_miss(tag)
-            if op.pc in self.oracle_pcs:
-                # ideal-LDS oracle: the miss becomes a hit
-                completion = ready + self._l2_latency
-                self._fill_l2(tag, fill_time=ready, demand_pc=op.pc)
-            else:
-                arrival = self.dram.demand_access_fast(ready, tag)
-                self.bus_transfers += 1
-                completion = arrival + self._l2_latency
-                self._fill_l2(tag, fill_time=arrival, demand_pc=op.pc)
-                cdp = self.cdp
-                if cdp is not None and self._prefetcher_enabled(cdp.name):
-                    words = self.memory.read_block_words(tag, self._blk)
-                    requests = cdp.scan_fill(
-                        tag,
-                        words,
-                        depth=1,
-                        demand_pc=op.pc,
-                        accessed_offset=addr & self._offset_mask,
-                    )
-                    for request in requests:
-                        self._issue_prefetch(request, ready)
-            self._fast_fill_l1(tag, l1_set_index, 0)
-            while outstanding and outstanding[0][0] <= cycle:
-                outstanding.popleft()
-            outstanding.append((completion, retired))
-            if len(outstanding) > self._l2_mshrs:
-                self._mshr_bound()
-            if self._has_train:
-                self._fast_train(addr, op.pc, False)
-
-        completions = self._completions
-        completions[seq] = completion
-        if len(completions) >= self._completion_prune_at:
-            horizon = seq - self._completion_prune_at // 2
-            self._completions = {
-                s: c for s, c in completions.items() if s > horizon
-            }
-        if self._has_value_hooks:
-            self._value_hooks(op, completion)
-
-    # -- fills (flat-state forms of Core._fill_l1 / Core._fill_l2) ----------
-
-    def _fast_fill_l1(self, tag: int, set_index: int, dirty: int) -> None:
-        l1 = self.l1
-        l1_set = l1._sets[set_index]
-        if len(l1_set) >= self._l1_ways:
-            victim_tag = next(iter(l1_set))  # LRU victim
-            slot = l1_set.pop(victim_tag)
-            l1.evictions += 1
-            if l1.dirty[slot]:
-                # write-back to L2: update the L2 copy if still resident;
-                # otherwise the dirty data goes all the way to memory
-                l2 = self.l2
-                victim_slot = l2._sets[
-                    (victim_tag >> self._block_shift) & self._l2_set_mask
-                ].get(victim_tag)
-                if victim_slot is not None:
-                    l2.dirty[victim_slot] = 1
-                else:
-                    self.dram.writeback(self.cycle, victim_tag)
-                    self.bus_transfers += 1
-        else:
-            slot = l1._free[set_index].pop()
-        l1.fill_time[slot] = self.cycle
-        l1.owner[slot] = None
-        l1.dirty[slot] = dirty
-        l1.demand_pc[slot] = 0
-        l1_set[tag] = slot
+    # -- fills (flat-state form of Core._fill_l2) ---------------------------
 
     def _fill_l2(
         self,
@@ -699,17 +512,6 @@ class FastCore(Core):
             if requests and (gendler is None or gendler.is_enabled(name)):
                 for request in requests:
                     issue(request, cycle)
-
-    def _push_outstanding(self, completion: float) -> None:
-        # same as Core._push_outstanding with the MSHR bound hoisted;
-        # ``step`` inlines this, but cold paths may still call it
-        outstanding = self._outstanding
-        cycle = self.cycle
-        while outstanding and outstanding[0][0] <= cycle:
-            outstanding.popleft()
-        outstanding.append((completion, self.retired))
-        if len(outstanding) > self._l2_mshrs:
-            self._mshr_bound()
 
     def _mshr_bound(self) -> None:
         # rare: enforce the L2 MSHR cap (tail of Core._push_outstanding)

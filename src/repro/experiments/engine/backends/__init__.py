@@ -48,7 +48,6 @@ def create_backend(
     name: str,
     slots: Optional[int] = None,
     hosts: Union[None, str, Sequence[HostSpec]] = None,
-    start_method: Optional[str] = None,
 ) -> ExecutorBackend:
     """Build a backend by registry name.
 
@@ -60,7 +59,7 @@ def create_backend(
     if name == "local":
         if hosts:
             raise UsageError("--hosts only applies to --backend remote")
-        return LocalBackend(slots=slots, start_method=start_method)
+        return LocalBackend(slots=slots)
     if name == "subprocess":
         if hosts:
             raise UsageError("--hosts only applies to --backend remote")

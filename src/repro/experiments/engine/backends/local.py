@@ -11,6 +11,7 @@ import dance required.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_ready
@@ -38,15 +39,11 @@ class LocalBackend(ExecutorBackend):
 
     name = "local"
 
-    def __init__(
-        self, slots: Optional[int] = None, start_method: Optional[str] = None
-    ):
+    def __init__(self, slots: Optional[int] = None):
         super().__init__(slots)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
-        self._ctx = multiprocessing.get_context(start_method)
+        #: how workers start: fork where the platform has it, else spawn
+        self.context = "fork" if hasattr(os, "fork") else "spawn"
+        self._ctx = multiprocessing.get_context(self.context)
         self._worker = None
 
     def bind(self, worker, emit, slots: int) -> None:
@@ -57,7 +54,7 @@ class LocalBackend(ExecutorBackend):
         return {
             "backend": self.name,
             "slots": self.slots,
-            "start_method": self.start_method,
+            "context": self.context,
         }
 
     # -- protocol ----------------------------------------------------------

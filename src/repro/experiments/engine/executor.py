@@ -174,7 +174,6 @@ class ExecutionEngine:
         retry: Optional[RetryPolicy] = None,
         checkpoint: Optional[CheckpointJournal] = None,
         worker: Optional[Callable[[Job], object]] = None,
-        start_method: Optional[str] = None,
         seed: int = 0x5EED,
         watchdog: Optional[WatchdogPolicy] = None,
         quarantine: Optional[QuarantinePolicy] = None,
@@ -194,9 +193,9 @@ class ExecutionEngine:
         #: (retry/quarantine/watchdog/journal/dispatch) land here
         self.tracer = tracer
         if backend is None:
-            backend = LocalBackend(start_method=start_method)
+            backend = LocalBackend()
         elif isinstance(backend, str):
-            backend = create_backend(backend, start_method=start_method)
+            backend = create_backend(backend)
         self.backend: ExecutorBackend = backend
         self.backend.bind(self.worker, self._emit, self.jobs)
         self._rng = random.Random(seed)

@@ -295,17 +295,12 @@ def build_core(
 
     if mechanism.throttle == "coordinated":
         # the pluggable policy seam (repro.policy): the config names the
-        # controller; "table3" reproduces CoordinatedThrottle bit for bit
-        # (tests/differential/test_policy.py).  controller_for returns
-        # None when the policy needs more prefetchers than this core has
-        # — the same "leave levels alone" outcome as before.
+        # controller, "table3" (paper Table 3) by default.  controller_for
+        # returns None when the policy needs more prefetchers than this
+        # core has, which leaves the levels alone.
         controller = controller_for(throttled, config)
         if controller is not None:
-            # getattr-guarded so the differential harness can swap in the
-            # legacy CoordinatedThrottle (which has no install hook)
-            install = getattr(controller, "install", None)
-            if install is not None:
-                install(core, dram)
+            controller.install(core, dram)
             controller.attach(core.feedback)
     elif mechanism.throttle == "fdp":
         FdpThrottle(throttled).attach(core.feedback)

@@ -1,10 +1,9 @@
 """Generic controller driving any :class:`ThrottlePolicy` per interval.
 
-:class:`PolicyThrottle` occupies exactly the seat the hard-wired
-:class:`~repro.throttle.coordinated.CoordinatedThrottle` held: it
+:class:`PolicyThrottle` is the coordinated-throttling controller: it
 attaches to ``FeedbackCollector.on_interval`` (firing after the Eq. 3
-roll, before the telemetry recorder) and keeps the same two invariants
-the differential harness depends on:
+roll, before the telemetry recorder) and keeps the two invariants the
+differential harness depends on:
 
 * *snapshot-then-act*: every prefetcher's signals are captured before
   any level moves, so decision order among prefetchers cannot matter;

@@ -1,12 +1,12 @@
 """The paper's Table 3 heuristic as a pluggable policy.
 
-This is the *extraction* the policy subsystem is built around: the same
-pure :func:`~repro.throttle.coordinated.decide_case` mapping the
-hard-wired :class:`~repro.throttle.coordinated.CoordinatedThrottle`
-applies, behind the :class:`~repro.policy.base.ThrottlePolicy`
-interface.  ``tests/differential/test_policy.py`` holds the two
-bit-identical on every engine — the default configuration must behave
-exactly as it did before policies existed.
+This is the *extraction* the policy subsystem is built around: the pure
+:func:`~repro.throttle.coordinated.decide_case` mapping behind the
+:class:`~repro.policy.base.ThrottlePolicy` interface.
+``tests/differential/test_policy.py`` checks its full snapshot and
+interval-by-interval trajectory against recorded goldens on every
+engine — the default configuration must behave exactly as it did
+before policies existed.
 """
 
 from __future__ import annotations

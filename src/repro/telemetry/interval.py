@@ -131,8 +131,8 @@ class IntervalSeriesRecorder:
         """Append this interval's controller decisions, if any.
 
         Duck-typed on the attached ``on_interval`` hook exposing a
-        ``decisions`` list (:class:`~repro.throttle.coordinated.
-        CoordinatedThrottle` does); other controllers simply record no
+        ``decisions`` list (:class:`~repro.policy.controller.
+        PolicyThrottle` does); other controllers simply record no
         trajectory.
         """
         controller = getattr(collector.on_interval, "__self__", None)

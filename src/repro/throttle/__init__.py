@@ -1,12 +1,7 @@
 """Prefetcher throttling: feedback collection, coordinated heuristics,
 and the FDP / Gendler baselines."""
 
-from repro.throttle.coordinated import (
-    CoordinatedThrottle,
-    NoThrottle,
-    ThrottleDecision,
-    decide_case,
-)
+from repro.throttle.coordinated import ThrottleDecision, decide_case
 from repro.throttle.fdp import FdpThresholds, FdpThrottle
 from repro.throttle.feedback import (
     FeedbackCollector,
@@ -23,7 +18,6 @@ from repro.throttle.levels import (
 )
 
 __all__ = [
-    "CoordinatedThrottle",
     "DEFAULT_THRESHOLDS",
     "FdpThresholds",
     "FdpThrottle",
@@ -31,7 +25,6 @@ __all__ = [
     "GendlerSelector",
     "LEVEL_NAMES",
     "MAX_LEVEL",
-    "NoThrottle",
     "PollutionFilter",
     "PrefetchAccuracyBuffer",
     "PrefetcherCounters",

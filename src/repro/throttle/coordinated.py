@@ -15,23 +15,15 @@ The heuristics are prefetcher-symmetric and prefetcher-agnostic, so the same
 controller coordinates any set of two *or more* prefetchers (the paper notes
 the N-ary generalization as ongoing work; we support it and test it).
 
-This module is the **frozen legacy reference** for the pluggable policy
-subsystem: production runs go through ``repro.policy`` (where
-``Table3Policy`` + ``PolicyThrottle`` replay these exact heuristics), and
-``tests/differential/test_policy.py`` asserts bit-identical snapshots and
-throttle trajectories against ``CoordinatedThrottle`` on every engine.
-Keep the decision logic here unchanged — it is the ground truth that
-differential suite compares against.
+This module holds the pure Table 3 mapping and its decision record; the
+controller that applies them each interval is
+:class:`~repro.policy.controller.PolicyThrottle` driving
+:class:`~repro.policy.table3.Table3Policy` (the default policy).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-from repro.prefetch.base import Prefetcher
-from repro.throttle.feedback import FeedbackCollector
-from repro.throttle.levels import DEFAULT_THRESHOLDS, ThrottleThresholds
+from dataclasses import dataclass
 
 
 @dataclass
@@ -59,66 +51,3 @@ def decide_case(
     if accuracy_class == "medium":
         return ThrottleDecision("", 4, "down", 0, 0, 0)
     return ThrottleDecision("", 5, "hold", 0, 0, 0)
-
-
-class CoordinatedThrottle:
-    """The paper's mechanism: installs itself on a FeedbackCollector."""
-
-    def __init__(
-        self,
-        prefetchers: Sequence[Prefetcher],
-        thresholds: ThrottleThresholds = DEFAULT_THRESHOLDS,
-    ) -> None:
-        if len(prefetchers) < 2:
-            raise ValueError(
-                "coordinated throttling manages two or more prefetchers"
-            )
-        self.prefetchers = list(prefetchers)
-        self.thresholds = thresholds
-        self.decisions: List[ThrottleDecision] = []
-
-    def attach(self, collector: FeedbackCollector) -> None:
-        collector.on_interval = self.on_interval
-
-    def on_interval(self, collector: FeedbackCollector) -> None:
-        """Apply Table 3 to every prefetcher simultaneously.
-
-        Decisions are computed from the same snapshot before any level
-        changes, so ordering among prefetchers cannot matter.
-        """
-        thresholds = self.thresholds
-        snapshot: Dict[str, tuple] = {}
-        for prefetcher in self.prefetchers:
-            name = prefetcher.name
-            snapshot[name] = (
-                collector.coverage(name),
-                collector.accuracy(name),
-            )
-        for prefetcher in self.prefetchers:
-            name = prefetcher.name
-            coverage, accuracy = snapshot[name]
-            rival_coverage = max(
-                (cov for other, (cov, __) in snapshot.items() if other != name),
-                default=0.0,
-            )
-            decision = decide_case(
-                thresholds.coverage_is_high(coverage),
-                thresholds.accuracy_class(accuracy),
-                thresholds.coverage_is_high(rival_coverage),
-            )
-            decision.owner = name
-            decision.coverage = coverage
-            decision.accuracy = accuracy
-            decision.rival_coverage = rival_coverage
-            self.decisions.append(decision)
-            if decision.action == "up":
-                prefetcher.throttle_up()
-            elif decision.action == "down":
-                prefetcher.throttle_down()
-
-
-class NoThrottle:
-    """Null controller: prefetchers stay at their configured level."""
-
-    def attach(self, collector: FeedbackCollector) -> None:
-        collector.on_interval = None

@@ -14,16 +14,29 @@ fast — for one (workload, mechanism, input set) cell, and the tests
 assert field-by-field equality via :func:`assert_identical`.  Floats
 are compared *exactly*: the optimized engines claim the same arithmetic
 in the same order, so any drift is a bug, not noise.
+
+``capture_multicore`` is the same snapshot for a multiprogrammed mix
+driven through :class:`~repro.core.system.MultiCoreSystem` (the
+Figs 14/15 path): every core's statistics keyed ``core<i>.<field>``,
+plus the shared DRAM controller's counters.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import dataclasses
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.config import ENGINES, SystemConfig
+from repro.core.system import MultiCoreSystem
 from repro.experiments.configs import get_mechanism
 from repro.experiments.runner import build_core, hint_filter_for, make_dram
 from repro.workloads.registry import get_workload
+
+#: small L2 + short interval => tens of feedback intervals on the test
+#: input, so trajectory comparisons are never vacuous
+INTERVAL_HEAVY = SystemConfig.scaled().with_overrides(
+    l2_size=8192, interval_evictions=32
+)
 
 
 def capture(
@@ -48,10 +61,47 @@ def capture(
     core = build_core(mech, config, instance, dram, hint_filter,
                       telemetry=telemetry)
     result = core.run(instance.trace())
+    return {**_core_snapshot(core, result), "dram": dram.stats}
 
-    # duck-typed on the controller exposing a ``decisions`` list, so
-    # both the legacy CoordinatedThrottle and any PolicyThrottle-driven
-    # policy (repro.policy) record a comparable trajectory
+
+def capture_multicore(
+    benchmarks: Sequence[str],
+    mechanism: str,
+    config: SystemConfig,
+    input_set: str = "test",
+    profile_input: str = "train",
+    telemetry=None,
+) -> Dict[str, Any]:
+    """Run one mix through ``MultiCoreSystem`` under ``config.engine``,
+    wired exactly as :func:`repro.experiments.runner.run_multicore`.
+
+    ``telemetry`` is an optional :class:`repro.telemetry.Telemetry`
+    session; core *i* records into its ``core<i>`` stream.
+    """
+    mech = get_mechanism(mechanism)
+    dram = make_dram(config, n_cores=len(benchmarks))
+    cores = []
+    traces = []
+    for index, benchmark in enumerate(benchmarks):
+        hint_filter = hint_filter_for(mech, benchmark, config, profile_input)
+        instance = get_workload(benchmark).build(input_set)
+        name = f"core{index}"
+        stream = telemetry.stream(name) if telemetry is not None else None
+        cores.append(build_core(mech, config, instance, dram, hint_filter,
+                                name=name, telemetry=stream))
+        traces.append(instance.trace())
+    results = MultiCoreSystem(cores).run(traces)
+    snapshot: Dict[str, Any] = {"dram": dram.stats}
+    for core, result in zip(cores, results):
+        for key, value in _core_snapshot(core, result).items():
+            snapshot[f"{core.name}.{key}"] = value
+    return snapshot
+
+
+def _core_snapshot(core, result) -> Dict[str, Any]:
+    """Every per-core statistic of one finished core."""
+    # duck-typed on the controller exposing a ``decisions`` list, so any
+    # PolicyThrottle-driven policy (repro.policy) records a trajectory
     trajectory = None
     hook = core.feedback.on_interval
     controller = getattr(hook, "__self__", None)
@@ -67,12 +117,10 @@ def capture(
             )
             for decision in controller.decisions
         ]
-
     return {
         "result": result,
         "l1": core.l1.stats,
         "l2": core.l2.stats,
-        "dram": dram.stats,
         "pf_dropped": core.pf_queue.dropped,
         "bus_transfers": core.bus_transfers,
         "levels": {p.name: p.level for p in core._trained_prefetchers},
@@ -114,3 +162,12 @@ def assert_identical(snapshots: Dict[str, Dict[str, Any]]) -> None:
                 f"  reference: {reference[key]!r}\n"
                 f"  {engine}: {snapshot[key]!r}"
             )
+
+
+def as_plain(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """The snapshot with its stat dataclasses as dicts, for a golden."""
+    return {
+        key: dataclasses.asdict(value)
+        if dataclasses.is_dataclass(value) else value
+        for key, value in snapshot.items()
+    }

@@ -17,7 +17,9 @@ trace, and the attached stream must not make their snapshots diverge.
 import pytest
 
 from repro.core.config import ENGINES, SystemConfig
-from repro.experiments.runner import run_benchmark
+from repro.experiments.configs import get_mechanism
+from repro.experiments.runner import build_core, make_dram, run_benchmark
+from repro.workloads.registry import get_workload
 from repro.telemetry.session import Telemetry, TelemetryConfig
 from tests.differential.harness import (
     assert_identical,
@@ -113,6 +115,25 @@ def test_run_benchmark_respects_engine_field():
     }
     reference = results["reference"]
     assert all(result == reference for result in results.values())
+
+
+def test_step_matches_run_on_every_engine():
+    """``step`` feeds one op at a time through the same loop as ``run``."""
+    mechanism = get_mechanism("cdp")
+    results = []
+    for engine in ENGINES:
+        config = SystemConfig.scaled().with_overrides(engine=engine)
+        for stepwise in (False, True):
+            instance = get_workload("mst").build("test")
+            core = build_core(mechanism, config, instance, make_dram(config))
+            if stepwise:
+                for op in instance.trace():
+                    core.step(op)
+                results.append(core.finish())
+            else:
+                results.append(core.run(instance.trace()))
+    assert results[0].l2_demand_misses > 0
+    assert all(result == results[0] for result in results)
 
 
 def test_capture_reports_nonzero_activity():

@@ -3,12 +3,11 @@
 Two equalities anchor the refactor:
 
 * **Extraction fidelity.**  The default ``table3`` policy driven
-  through :class:`~repro.policy.controller.PolicyThrottle` must be
-  bit-identical — full snapshot *and* interval-by-interval trajectory,
-  including Table 3 case numbers — to the legacy hard-wired
-  :class:`~repro.throttle.coordinated.CoordinatedThrottle`, on every
-  engine.  The legacy class stays in the tree, frozen, precisely so
-  this comparison never goes vacuous.
+  through :class:`~repro.policy.controller.PolicyThrottle` must
+  reproduce — full snapshot *and* interval-by-interval trajectory,
+  including Table 3 case numbers — the goldens recorded from the
+  pre-policy hard-wired controller, on every engine
+  (``tests/goldens/table3_trajectory_*.json``).
 
 * **Cross-engine identity.**  Every other policy (static, pid, qlearn
   with its seeded exploration) must agree across reference and fast
@@ -19,47 +18,27 @@ Two equalities anchor the refactor:
 
 import pytest
 
-import repro.experiments.runner as runner
-from repro.core.config import ENGINES, SystemConfig
-from repro.throttle.coordinated import CoordinatedThrottle
-from repro.throttle.levels import ThrottleThresholds
+from repro.core.config import ENGINES
 from tests.differential.harness import (
+    INTERVAL_HEAVY,
+    as_plain,
     assert_identical,
     capture,
     compare_engines,
 )
-
-#: small L2 + short interval => tens of feedback intervals on the test
-#: input, so trajectory comparisons are never vacuous
-INTERVAL_HEAVY = SystemConfig.scaled().with_overrides(
-    l2_size=8192, interval_evictions=32
-)
-
-
-def _legacy_controller_for(throttled, config):
-    """The pre-policy wiring, reconstructed for comparison."""
-    if len(throttled) < 2:
-        return None
-    thresholds = ThrottleThresholds(
-        t_coverage=config.t_coverage,
-        a_low=config.a_low,
-        a_high=config.a_high,
-    )
-    return CoordinatedThrottle(throttled, thresholds)
+from tests.test_goldens import check_golden
 
 
 @pytest.mark.parametrize("workload", ["mst", "health"])
-def test_table3_policy_bit_identical_to_legacy(workload, monkeypatch):
-    """The tentpole invariant: extraction changed nothing, anywhere."""
+def test_table3_trajectory_matches_golden(workload, update_goldens):
+    """The default path's full snapshot and interval-by-interval Table 3
+    trajectory, recorded once and checked on every engine."""
     for engine in ENGINES:
-        config = INTERVAL_HEAVY.with_overrides(engine=engine)
-        new = capture(workload, "ecdp+throttle", config)
-        monkeypatch.setattr(runner, "controller_for",
-                            _legacy_controller_for)
-        legacy = capture(workload, "ecdp+throttle", config)
-        monkeypatch.undo()
-        assert legacy["throttle"], "legacy run recorded no trajectory"
-        assert_identical({"reference": legacy, engine + "+policy": new})
+        snapshot = capture(workload, "ecdp+throttle",
+                           INTERVAL_HEAVY.with_overrides(engine=engine))
+        assert snapshot["throttle"], "no throttle decisions recorded"
+        check_golden(f"table3_trajectory_{workload}", as_plain(snapshot),
+                     update_goldens)
 
 
 def test_table3_trajectory_carries_real_cases():

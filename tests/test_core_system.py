@@ -85,3 +85,12 @@ class TestMultiCore:
             [streaming_trace(0x1000_0000, n=5), streaming_trace(0x2000_0000, n=80)]
         )
         assert results[0].retired_instructions < results[1].retired_instructions
+
+    def test_cores_sharing_a_name_keep_their_own_results(self):
+        # both cores keep the default name "core0"
+        dram = make_dram(2)
+        cores = [Core(CFG, SimulatedMemory(), dram) for _ in range(2)]
+        results = MultiCoreSystem(cores).run(
+            [streaming_trace(0x1000_0000, n=5), streaming_trace(0x2000_0000, n=80)]
+        )
+        assert [r.retired_instructions for r in results] == [5 * 5, 80 * 5]

@@ -1,9 +1,10 @@
 """Golden-snapshot regression tests for the figure benches' summary metrics.
 
-Reduced-scope versions of ``benchmarks/bench_fig07_headline.py`` and
-``benchmarks/bench_fig02_cdp_cost.py``: the same summary reductions
-(:func:`summary_line`, geomean IPC ratio, mean BPKI delta, CDP accuracy)
-over a three-benchmark subset on the deterministic ``test`` input set.
+Reduced-scope versions of ``benchmarks/bench_fig07_headline.py``,
+``benchmarks/bench_fig02_cdp_cost.py`` and the Fig 14/15 multicore
+benches: the same summary reductions (:func:`summary_line`, geomean IPC
+ratio, mean BPKI delta, CDP accuracy, weighted speedup and bus-traffic
+delta) over small subsets on the deterministic ``test`` input set.
 Workload traces are seeded per (workload, input set), so these numbers
 are exact across runs — any drift is a behaviour change in the model,
 not noise, and must be either fixed or consciously re-baselined with::
@@ -22,8 +23,13 @@ from typing import Any, Dict
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.experiments.metrics import bpki_delta_percent, geomean
-from repro.experiments.runner import run_benchmark
+from repro.experiments.metrics import (
+    bpki_delta_percent,
+    geomean,
+    total_bus_traffic_per_ki,
+    weighted_speedup,
+)
+from repro.experiments.runner import run_benchmark, run_multicore
 from repro.experiments.suites import summary_line
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -35,6 +41,14 @@ INPUT_SET = "test"
 CONFIG = SystemConfig.scaled()
 
 FIG07_MECHANISMS = ("cdp", "ecdp", "ecdp+throttle")
+
+#: two Fig 14 dual-core mixes (pointer+pointer, streaming+streaming)
+#: and the all-pointer-intensive Fig 15 quad-core mix
+FIG14_MIXES = (
+    ("mcf", "health"),
+    ("libquantum", "bwaves"),
+    ("mcf", "astar", "health", "mst"),
+)
 
 #: float rounding applied before snapshot/compare — wide enough that the
 #: goldens stay readable, far tighter than any real behaviour change
@@ -51,8 +65,8 @@ def _rounded(value: Any) -> Any:
     return value
 
 
-def _check_or_update(name: str, payload: Dict[str, Any],
-                     update: bool) -> None:
+def check_golden(name: str, payload: Dict[str, Any],
+                 update: bool) -> None:
     payload = _rounded(payload)
     path = GOLDEN_DIR / f"{name}.json"
     if update:
@@ -89,7 +103,7 @@ def test_fig07_summary_metrics(update_goldens):
             for bench in BENCHES
         }
         payload["summaries"][mechanism] = summary_line(results, baselines)
-    _check_or_update("fig07_summary", payload, update_goldens)
+    check_golden("fig07_summary", payload, update_goldens)
 
 
 def test_fig02_summary_metrics(update_goldens):
@@ -111,4 +125,41 @@ def test_fig02_summary_metrics(update_goldens):
         "mean_bpki_pct": sum(bpki_deltas) / len(bpki_deltas),
         "cdp_accuracy": accuracy,
     }
-    _check_or_update("fig02_summary", payload, update_goldens)
+    check_golden("fig02_summary", payload, update_goldens)
+
+
+def test_fig14_summary_metrics(update_goldens):
+    """The Figure 14/15 reduction through ``MultiCoreSystem``: per-core
+    statistics and each mix's weighted-speedup gain and bus-traffic
+    delta of ecdp+throttle over the stream baseline."""
+    mixes: Dict[str, Any] = {}
+    for mix in FIG14_MIXES:
+        alone = [run_benchmark(bench, "baseline", CONFIG,
+                               input_set=INPUT_SET) for bench in mix]
+        shared = {
+            mechanism: run_multicore(list(mix), mechanism, CONFIG,
+                                     input_set=INPUT_SET)
+            for mechanism in ("baseline", "ecdp+throttle")
+        }
+        base, ours = shared["baseline"], shared["ecdp+throttle"]
+        mixes["+".join(mix)] = {
+            "cores": {
+                mechanism: [
+                    {
+                        "ipc": result.ipc,
+                        "bpki": result.bpki,
+                        "cycles": result.cycles,
+                        "bus_transfers": result.bus_transfers,
+                        "intervals_completed": result.intervals_completed,
+                    }
+                    for result in results
+                ]
+                for mechanism, results in shared.items()
+            },
+            "ws_gain_pct": (weighted_speedup(ours, alone)
+                            / weighted_speedup(base, alone) - 1) * 100,
+            "bus_delta_pct": (total_bus_traffic_per_ki(ours)
+                              / total_bus_traffic_per_ki(base) - 1) * 100,
+        }
+    payload = {"input_set": INPUT_SET, "mixes": mixes}
+    check_golden("fig14_summary", payload, update_goldens)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.policy.controller import PolicyThrottle
+from repro.policy.table3 import Table3Policy
 from repro.prefetch.stream import StreamPrefetcher
 from repro.prefetch.cdp import ContentDirectedPrefetcher
-from repro.throttle.coordinated import CoordinatedThrottle, decide_case
+from repro.throttle.coordinated import decide_case
 from repro.throttle.feedback import FeedbackCollector
 from repro.throttle.levels import DEFAULT_THRESHOLDS, ThrottleThresholds
 
@@ -57,13 +59,15 @@ class TestThresholds:
 
 
 class TestControllerIntegration:
+    """Table 3 driven through the controller the runner attaches."""
+
     def _setup(self):
         stream = StreamPrefetcher(64)
         cdp = ContentDirectedPrefetcher(64)
         stream.set_level(2)
         cdp.set_level(2)
         collector = FeedbackCollector(["stream", "cdp"], interval_evictions=1)
-        controller = CoordinatedThrottle([stream, cdp])
+        controller = PolicyThrottle([stream, cdp], Table3Policy())
         controller.attach(collector)
         return stream, cdp, collector, controller
 
@@ -109,7 +113,7 @@ class TestControllerIntegration:
 
     def test_requires_two_prefetchers(self):
         with pytest.raises(ValueError):
-            CoordinatedThrottle([StreamPrefetcher(64)])
+            PolicyThrottle([StreamPrefetcher(64)], Table3Policy())
 
     def test_three_prefetcher_generalization(self):
         """Paper Section 4.2: the heuristics are N-ary-ready."""
@@ -123,7 +127,7 @@ class TestControllerIntegration:
         collector = FeedbackCollector(
             [p.name for p in prefetchers], interval_evictions=1
         )
-        controller = CoordinatedThrottle(prefetchers)
+        controller = PolicyThrottle(prefetchers, Table3Policy())
         controller.attach(collector)
         # cdp2 covers everything; the others are useless.
         collector.record_issue("cdp2", 10)

@@ -1,9 +1,9 @@
 """Property tests for the 5-case throttling heuristic (paper Table 3).
 
 Hypothesis drives random inputs through :func:`decide_case`, the
-threshold classifiers, and full :class:`CoordinatedThrottle` intervals
-on a stub collector, asserting the invariants the paper's prose states
-but Table 3 only samples:
+threshold classifiers, and full Table 3 intervals (:class:`PolicyThrottle`
+driving :class:`Table3Policy`) on a stub collector, asserting the
+invariants the paper's prose states but Table 3 only samples:
 
 * every input lands in exactly one case 1..5 with action up/down/hold;
 * the action is monotone: more accuracy or more coverage never throttles
@@ -21,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
+from repro.policy.controller import PolicyThrottle
+from repro.policy.table3 import Table3Policy
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.stream import STREAM_LEVELS, StreamPrefetcher
-from repro.throttle.coordinated import CoordinatedThrottle, decide_case
+from repro.throttle.coordinated import decide_case
 from repro.throttle.feedback import FeedbackCollector
 from repro.throttle.levels import (
     DEFAULT_THRESHOLDS,
@@ -151,7 +153,7 @@ def test_levels_stay_within_table2_bounds(actions):
 
 
 # --------------------------------------------------------------------------
-# CoordinatedThrottle on a stub collector
+# Table 3 controller on a stub collector
 # --------------------------------------------------------------------------
 
 interval_feeds = st.lists(
@@ -175,7 +177,7 @@ def test_coordinated_throttle_moves_one_step_per_interval(feeds):
     first = _NullPrefetcher("first")
     second = _NullPrefetcher("second")
     collector = FeedbackCollector(["first", "second"], interval_evictions=4)
-    throttle = CoordinatedThrottle([first, second])
+    throttle = PolicyThrottle([first, second], Table3Policy())
     throttle.attach(collector)
 
     for issued_a, used_a, issued_b, used_b, misses in feeds:
