@@ -819,13 +819,10 @@ def cmd_cost(args) -> int:
 def cmd_train_policy(args) -> int:
     payload = train_policy(
         args.series,
-        policy=args.policy,
         alpha=args.alpha,
         gamma=args.gamma,
-        epsilon=args.epsilon,
         penalty=args.penalty,
         epochs=args.epochs,
-        seed=args.seed,
     )
     print(
         f"trained {payload['policy']} on {len(payload['files'])} series "
@@ -877,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: table3, the paper's heuristic)")
         p.add_argument("--policy-params", default=None, metavar="K=V,K=V",
                        help="policy parameters, e.g. 'level=1' or "
-                            "'epsilon=0.05,seed=7'")
+                            "'kp=2.0,target=0.6'")
         p.add_argument("--policy-file", default=None, metavar="POLICY.json",
                        help="load policy + params from a `repro "
                             "train-policy --out` payload")
@@ -1104,29 +1101,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "train-policy",
-        help="train a qlearn/bandit throttling policy on recorded "
+        help="train the qlearn throttling policy's table on recorded "
              "telemetry series",
     )
     p.add_argument("series", nargs="+", metavar="SERIES",
                    help=".series.jsonl files or directories of them "
                         "(e.g. a sweep's <name>-series/ directory)")
-    p.add_argument("--policy", default="qlearn",
-                   choices=["qlearn", "bandit"],
-                   help="which learner to train (bandit = gamma pinned 0)")
     p.add_argument("--alpha", type=float, default=0.2,
                    help="learning rate (default 0.2)")
     p.add_argument("--gamma", type=float, default=0.6,
-                   help="discount factor (default 0.6; ignored for bandit)")
-    p.add_argument("--epsilon", type=float, default=0.0,
-                   help="exploration rate baked into the emitted params "
-                        "(default 0.0: pure greedy replay)")
+                   help="discount factor (default 0.6)")
     p.add_argument("--penalty", type=float, default=0.5,
                    help="bandwidth penalty weight in the reward "
                         "(default 0.5)")
     p.add_argument("--epochs", type=int, default=4,
                    help="replay passes over the experience (default 4)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed baked into the emitted params (default 0)")
     p.add_argument("--out", default=None, metavar="POLICY.json",
                    help="write the payload here (for sweep --policy-file); "
                         "default: params string to stdout")

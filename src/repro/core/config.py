@@ -96,11 +96,13 @@ class SystemConfig:
     a_low: float = 0.4
     a_high: float = 0.7
     # Which controller sits between the feedback collector and the
-    # aggressiveness ladders (see repro.policy).  "table3" is the paper's
-    # heuristic and the bit-identical default; policy_params is a
-    # "key=value,key=value" string (kept a string so the frozen config
-    # stays hashable for the result cache and content-addressed job
-    # identity — a trained Q table embeds here and hashes with the job).
+    # aggressiveness ladders (see repro.policy): "table3" (the paper's
+    # heuristic and the bit-identical default), "qlearn" (a greedy
+    # replay of the trained table it requires as q=<table>), "pid" or
+    # "static".  policy_params is a "key=value,key=value" string (kept
+    # a string so the frozen config stays hashable for the result cache
+    # and content-addressed job identity — the trained Q table embeds
+    # here and hashes with the job).
     throttle_policy: str = "table3"
     policy_params: str = ""
 
@@ -119,7 +121,7 @@ class SystemConfig:
     def scaled(cls) -> "SystemConfig":
         """Proportionally shrunk system for tractable Python simulation.
 
-        L2 shrinks 16x (1 MB -> 64 KB); DRAM latency roughly 2.4x shorter;
+        L2 shrinks 16x (1 MB -> 64 KB); DRAM latency roughly 2.6x shorter;
         the feedback interval shrinks with the cache so a scaled run still
         completes tens of intervals.  Blocks shrink to 64 B, which is also
         the size used for the paper's FDP comparison (Section 6.5) and the

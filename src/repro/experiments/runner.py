@@ -300,7 +300,6 @@ def build_core(
         # core has, which leaves the levels alone.
         controller = controller_for(throttled, config)
         if controller is not None:
-            controller.install(core, dram)
             controller.attach(core.feedback)
     elif mechanism.throttle == "fdp":
         FdpThrottle(throttled).attach(core.feedback)

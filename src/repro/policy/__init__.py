@@ -2,11 +2,12 @@
 
 The junction between the feedback collector and the prefetchers'
 aggressiveness ladders, made swappable: the paper's Table 3 heuristic
-(the default, bit-identical to the pre-policy controller), a tabular
-Q-learning / contextual-bandit pair trainable offline on recorded
-telemetry series, a PID-on-accuracy loop with anti-windup, and static
-pinned-level baselines.  ``benchmarks/bench_policy_tournament.py`` races
-them on performance per unit of bandwidth.
+(the default, bit-identical to the pre-policy controller), a Q table
+trained offline on recorded telemetry series and replayed greedily, a
+PID-on-accuracy loop with anti-windup, and static pinned-level
+baselines.  ``benchmarks/bench_policy_tournament.py`` races them on
+performance per unit of bandwidth, on workloads the table was not
+trained on.
 """
 
 from repro.policy.base import ACTIONS, FeedbackSignals, ThrottlePolicy

@@ -11,13 +11,9 @@ most, exactly the actuation surface Table 3 has).  The generic
 policy through the same ``FeedbackCollector.on_interval`` hook the
 original controller used, on every engine.
 
-Signals split in two tiers.  The *feedback* tier (coverage, accuracy,
-rival coverage, current level) is exactly what Table 3 consumes and is
-always populated.  The *system* tier (interval BPKI, interval demand
-misses, DRAM request-buffer occupancy, L2 MSHR pressure) is the wider
-observation vector the telemetry subsystem records — what Coordinated
-RL Prefetching feeds its agents — and is probed only when a policy
-declares ``needs_system``, so the default path does no extra work.
+The signals are exactly what Table 3 consumes (coverage, accuracy,
+rival coverage, current level): every policy observes what the paper's
+controller observed.
 """
 
 from __future__ import annotations
@@ -38,22 +34,14 @@ class FeedbackSignals:
     ``coverage``, ``accuracy`` and ``rival_coverage`` are the smoothed
     Eq. 1/2 values the collector just rolled — bit-identical to what the
     hard-wired heuristic read.  ``level`` is the prefetcher's ladder
-    position *before* this interval's decision.  The system tier
-    (``bpki`` .. ``mshr_occupancy``) is zero unless the active policy
-    declares ``needs_system``.
+    position *before* this interval's decision.
     """
 
     owner: str
-    interval: int
     coverage: float
     accuracy: float
     rival_coverage: float
     level: int
-    # -- system tier (probed only for needs_system policies) ---------------
-    bpki: float = 0.0
-    demand_misses: int = 0
-    dram_occupancy: int = 0
-    mshr_occupancy: int = 0
 
 
 class ThrottlePolicy(ABC):
@@ -61,18 +49,12 @@ class ThrottlePolicy(ABC):
 
     Policies are *per-core* objects: construct one per simulated core
     (the runner does), never share instances across cores or runs.
-    Stateful policies (PID integrators, Q tables) key any per-prefetcher
-    state by ``signals.owner``.
+    Stateful policies (PID integrators) key any per-prefetcher state by
+    ``signals.owner``.
     """
 
     #: registry name (set by subclasses; shown in exports and benches)
     name: str = "?"
-
-    #: True when :meth:`decide` consumes the system-tier signals; the
-    #: controller skips probing BPKI/DRAM/MSHR state when False, keeping
-    #: the default path's per-interval work identical to the pre-policy
-    #: controller's
-    needs_system: bool = False
 
     #: fewest prefetchers the policy can coordinate (Table 3 needs a
     #: rival, so it requires 2; single-knob policies work from 1)
@@ -88,6 +70,3 @@ class ThrottlePolicy(ABC):
         else.  The controller fills the owner/coverage/accuracy/rival
         fields, so policies may leave them blank.
         """
-
-    def reset(self) -> None:
-        """Drop per-run state (new simulation, same policy object)."""

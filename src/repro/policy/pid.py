@@ -35,7 +35,6 @@ class PidAccuracyPolicy(ThrottlePolicy):
     """PID on the accuracy error, one loop per prefetcher."""
 
     name = "pid"
-    needs_system = False
     min_prefetchers = 1
 
     def __init__(
@@ -59,9 +58,6 @@ class PidAccuracyPolicy(ThrottlePolicy):
         self.deadband = deadband
         #: per-prefetcher loop state: (integral, previous error)
         self._state: Dict[str, Tuple[float, float]] = {}
-
-    def reset(self) -> None:
-        self._state.clear()
 
     def integral(self, owner: str) -> float:
         """Current integral term (exposed for the anti-windup tests)."""

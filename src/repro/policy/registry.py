@@ -16,24 +16,22 @@ and report everything at once.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional
 
 from repro.policy.base import ThrottlePolicy
 from repro.policy.controller import PolicyThrottle
 from repro.policy.pid import PidAccuracyPolicy
-from repro.policy.qlearn import QLearningPolicy, decode_q
+from repro.policy.qlearn import QLearningPolicy
 from repro.policy.static import StaticLevelPolicy
 from repro.policy.table3 import Table3Policy
 from repro.throttle.levels import MAX_LEVEL, ThrottleThresholds
 
 #: name -> (allowed params, factory); factories take the parsed params
-#: dict plus thresholds and (for seeding) the config
-_QLEARN_PARAMS = (
-    "alpha", "gamma", "epsilon", "penalty", "seed", "learn", "q",
-)
+#: dict plus the thresholds
 _PID_PARAMS = ("kp", "ki", "kd", "target", "windup", "deadband")
 
-POLICY_NAMES = ("table3", "qlearn", "bandit", "pid", "static")
+POLICY_NAMES = ("table3", "qlearn", "pid", "static")
 
 
 def parse_policy_params(text: str) -> Dict[str, str]:
@@ -65,6 +63,10 @@ def _coerce(params: Dict[str, str], floats: tuple = (),
     for key, value in params.items():
         if key in floats:
             out[key] = float(value)
+            if not math.isfinite(out[key]):
+                raise ValueError(
+                    f"policy param {key} must be finite, got {value!r}"
+                )
         elif key in ints:
             out[key] = int(value)
         else:
@@ -72,54 +74,39 @@ def _coerce(params: Dict[str, str], floats: tuple = (),
     return out
 
 
-def _make_table3(params, thresholds, config) -> ThrottlePolicy:
+def _make_table3(params, thresholds) -> ThrottlePolicy:
     return Table3Policy(thresholds)
 
 
-def _make_static(params, thresholds, config) -> ThrottlePolicy:
+def _make_static(params, thresholds) -> ThrottlePolicy:
     kwargs = _coerce(params, ints=("level",))
     return StaticLevelPolicy(**kwargs)
 
 
-def _make_pid(params, thresholds, config) -> ThrottlePolicy:
+def _make_pid(params, thresholds) -> ThrottlePolicy:
     kwargs = _coerce(params, floats=_PID_PARAMS)
     return PidAccuracyPolicy(**kwargs)
 
 
-def _make_qlearn(params, thresholds, config) -> ThrottlePolicy:
-    kwargs = _coerce(
-        params,
-        floats=("alpha", "gamma", "epsilon", "penalty"),
-        ints=("seed", "learn"),
-    )
-    if "learn" in kwargs:
-        kwargs["learn"] = bool(kwargs["learn"])
-    return QLearningPolicy(thresholds=thresholds, config=config, **kwargs)
-
-
-def _make_bandit(params, thresholds, config) -> ThrottlePolicy:
-    if "gamma" in params and float(params["gamma"]) != 0.0:
-        raise ValueError("the bandit policy is qlearn with gamma pinned "
-                         "to 0; drop the gamma param or use qlearn")
-    params = dict(params)
-    params["gamma"] = "0"
-    policy = _make_qlearn(params, thresholds, config)
-    policy.name = "bandit"
-    return policy
+def _make_qlearn(params, thresholds) -> ThrottlePolicy:
+    if "q" not in params:
+        raise ValueError(
+            "the qlearn policy replays a trained table: pass q=<table> "
+            "(see `repro train-policy`)"
+        )
+    return QLearningPolicy(params["q"], thresholds=thresholds)
 
 
 _FACTORIES: Dict[str, Callable] = {
     "table3": _make_table3,
     "qlearn": _make_qlearn,
-    "bandit": _make_bandit,
     "pid": _make_pid,
     "static": _make_static,
 }
 
 _ALLOWED_PARAMS: Dict[str, tuple] = {
     "table3": (),
-    "qlearn": _QLEARN_PARAMS,
-    "bandit": _QLEARN_PARAMS,
+    "qlearn": ("q",),
     "pid": _PID_PARAMS,
     "static": ("level",),
 }
@@ -148,7 +135,7 @@ def validate_policy(name: str, params_text: str) -> Dict[str, str]:
         )
         return problems
     try:
-        _FACTORIES[name](params, ThrottleThresholds(), None)
+        _FACTORIES[name](params, ThrottleThresholds())
     except (ValueError, TypeError) as error:
         problems["policy_params"] = str(error)
     return problems
@@ -171,7 +158,7 @@ def create_policy(config) -> ThrottlePolicy:
         a_low=config.a_low,
         a_high=config.a_high,
     )
-    return _FACTORIES[name](params, thresholds, config)
+    return _FACTORIES[name](params, thresholds)
 
 
 def controller_for(throttled: List, config) -> Optional[PolicyThrottle]:

@@ -17,7 +17,6 @@ class StaticLevelPolicy(ThrottlePolicy):
     """Walk every prefetcher to ``level`` and hold it there."""
 
     name = "static"
-    needs_system = False
     min_prefetchers = 1
 
     def __init__(self, level: int = MAX_LEVEL) -> None:

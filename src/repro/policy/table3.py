@@ -20,7 +20,6 @@ class Table3Policy(ThrottlePolicy):
     """Coordinated feedback-directed throttling (paper Section 4.2)."""
 
     name = "table3"
-    needs_system = False
     #: the heuristic is defined over a deciding prefetcher *and* its
     #: best rival; with one prefetcher there is no rival to coordinate
     #: with, matching the pre-policy controller's >= 2 requirement

@@ -186,30 +186,19 @@ def train_q_table(
 
 def train_policy(
     series: Sequence[str],
-    policy: str = "qlearn",
     alpha: float = 0.2,
     gamma: float = 0.6,
-    epsilon: float = 0.0,
     penalty: float = 0.5,
     epochs: int = 4,
-    seed: int = 0,
     thresholds: Optional[ThrottleThresholds] = None,
 ) -> Dict[str, Any]:
-    """Train a throttling policy offline; returns the policy-file payload.
+    """Train the qlearn policy offline; returns the policy-file payload.
 
-    ``policy`` is ``qlearn`` or ``bandit`` (the latter forces
-    ``gamma=0`` — each interval rewarded on its own).  The payload's
-    ``policy_params`` string is ready to paste into ``sweep
-    --policy-params`` (or load via ``--policy-file``); it embeds the
-    trained table, the runtime hyperparameters, and ``learn=0`` so the
-    replayed controller is purely greedy and deterministic.
+    The payload's ``policy_params`` string, ``q=<table>``, is ready to
+    paste into ``sweep --policy-params`` (or load via
+    ``--policy-file``); the replayed controller is a greedy lookup over
+    the trained table.
     """
-    if policy not in ("qlearn", "bandit"):
-        raise ConfigError(
-            f"only the qlearn/bandit policies are trainable, got {policy!r}"
-        )
-    if policy == "bandit":
-        gamma = 0.0
     thresholds = thresholds or DEFAULT_THRESHOLDS
     files = collect_series_files(series)
     transitions: List[Transition] = []
@@ -229,27 +218,14 @@ def train_policy(
     table = train_q_table(transitions, alpha=alpha, gamma=gamma,
                           epochs=epochs)
     visited = sum(1 for row in table if any(row))
-    params = {
-        "epsilon": epsilon,
-        "penalty": penalty,
-        "seed": seed,
-        "learn": 0,
-        "q": encode_q(table),
-    }
-    policy_params = ",".join(
-        f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
-        for key, value in params.items()
-    )
     return {
-        "policy": policy,
-        "policy_params": policy_params,
+        "policy": "qlearn",
+        "policy_params": f"q={encode_q(table)}",
         "hyperparameters": {
             "alpha": alpha,
             "gamma": gamma,
-            "epsilon": epsilon,
             "penalty": penalty,
             "epochs": epochs,
-            "seed": seed,
         },
         "files": [str(path) for path in files],
         "rows": rows_total,

@@ -10,10 +10,8 @@ Two equalities anchor the refactor:
   (``tests/goldens/table3_trajectory_*.json``).
 
 * **Cross-engine identity.**  Every other policy (static, pid, qlearn
-  with its seeded exploration) must agree across reference and fast
-  exactly like the rest of the simulator, which is what licenses
-  deriving the qlearn RNG seed from config identity *minus* the engine
-  field.
+  replaying a trained table) must agree across reference and fast
+  exactly like the rest of the simulator.
 """
 
 import pytest
@@ -27,6 +25,7 @@ from tests.differential.harness import (
     compare_engines,
 )
 from tests.test_goldens import check_golden
+from tests.test_policy import trained_q
 
 
 @pytest.mark.parametrize("workload", ["mst", "health"])
@@ -52,8 +51,7 @@ def test_table3_trajectory_carries_real_cases():
 @pytest.mark.parametrize("policy,params", [
     ("static", "level=1"),
     ("pid", ""),
-    ("qlearn", "epsilon=0.2,seed=11"),
-    ("bandit", ""),
+    pytest.param("qlearn", f"q={trained_q()}", id="qlearn-trained"),
 ])
 def test_policies_bit_identical_across_engines(policy, params):
     config = INTERVAL_HEAVY.with_overrides(

@@ -19,6 +19,16 @@ class TestPaperPreset:
         assert paper.l2_size // paper.block_size == 8192  # blocks
         assert paper.t_coverage == 0.2 and paper.a_low == 0.4
 
+    def test_scaled_preset_composition(self):
+        """The scaled numbers DESIGN.md §11 quotes."""
+        scaled = SystemConfig.scaled()
+        assert scaled.min_memory_latency == 10 + 120 + 8 * 5 == 170
+        assert scaled.block_size == 64
+        assert scaled.l2_size // scaled.block_size == 1024  # blocks
+        assert scaled.interval_evictions == 256
+        assert scaled.t_coverage == 0.35 and scaled.a_low == 0.45
+        assert scaled.a_high == SystemConfig.paper().a_high == 0.7
+
     def test_paper_config_runs_small_input(self):
         """Mechanically sound at paper scale even on tiny inputs."""
         result = run_benchmark(

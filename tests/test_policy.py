@@ -34,7 +34,6 @@ from repro.policy.qlearn import (
     N_STATES,
     decode_q,
     encode_q,
-    stable_seed,
     zero_table,
 )
 from repro.policy.training import (
@@ -45,10 +44,10 @@ from repro.throttle.levels import MAX_LEVEL
 
 
 def signals(owner="stream", coverage=0.0, accuracy=0.0, rival=0.0,
-            level=MAX_LEVEL, interval=1, bpki=0.0):
+            level=MAX_LEVEL):
     return FeedbackSignals(
-        owner=owner, interval=interval, coverage=coverage,
-        accuracy=accuracy, rival_coverage=rival, level=level, bpki=bpki,
+        owner=owner, coverage=coverage, accuracy=accuracy,
+        rival_coverage=rival, level=level,
     )
 
 
@@ -70,9 +69,16 @@ def test_validate_policy_problems():
     assert "throttle_policy" in validate_policy("nope", "")
     assert "policy_params" in validate_policy("table3", "x=1")
     assert "policy_params" in validate_policy("static", "level=9")
-    assert "policy_params" in validate_policy("qlearn", "epsilon=2.0")
-    assert "policy_params" in validate_policy("bandit", "gamma=0.5")
-    assert validate_policy("bandit", "gamma=0.0") == {}
+    # qlearn replays a trained table and has no default one
+    assert "policy_params" in validate_policy("qlearn", "")
+    assert "policy_params" in validate_policy("qlearn", "epsilon=0.1")
+    assert validate_policy("qlearn", f"q={encode_q(zero_table())}") == {}
+    # non-finite values would turn every control value (or Q value) NaN
+    for params in ("kp=nan", "ki=nan", "kd=nan", "target=inf",
+                   "windup=nan", "deadband=nan", "kp=inf,ki=-inf"):
+        assert "policy_params" in validate_policy("pid", params), params
+    nan_table = "|".join(["nan"] * (N_STATES * N_ACTIONS))
+    assert "policy_params" in validate_policy("qlearn", f"q={nan_table}")
 
 
 def test_config_validation_reports_policy_fields():
@@ -112,27 +118,16 @@ def test_static_policy_walks_to_target():
 def test_qlearn_trained_table_is_greedy_and_deterministic():
     table = zero_table()
     table[0][2] = 1.0  # state 0 prefers "up"
-    policy = QLearningPolicy(epsilon=0.0, learn=False, q=encode_q(table))
+    policy = QLearningPolicy(q=encode_q(table))
     s = signals(coverage=0.0, accuracy=0.0, rival=0.0, level=0)
     assert policy.decide(s).action == "up"
     assert policy.decide(s).action == "up"
 
 
 def test_qlearn_rejects_bad_hyperparameters():
-    for kwargs in ({"epsilon": 1.5}, {"alpha": 0.0}, {"gamma": 1.0}):
-        with pytest.raises(ValueError):
-            QLearningPolicy(**kwargs)
+    # the table is the policy's only parameter
     with pytest.raises(ValueError):
         decode_q("1|2|3")
-
-
-def test_stable_seed_ignores_engine_only():
-    ref = SystemConfig.scaled()
-    assert stable_seed(ref) == stable_seed(ref.with_overrides(engine="fast"))
-    assert stable_seed(ref) != stable_seed(
-        ref.with_overrides(policy_params="seed=1")
-    )
-    assert stable_seed(ref, extra=1) != stable_seed(ref)
 
 
 def test_controller_enforces_min_prefetchers():
@@ -151,13 +146,20 @@ def _series_rows(n=6):
             "cycle": 1000 * (i + 1), "bpki": 10.0 + i,
             "demand_misses": 50, "dram_occupancy": 3, "mshr_occupancy": 2,
             "prefetchers": {
-                "stream": {"accuracy": 0.8, "coverage": 0.3,
+                "stream": {"accuracy": 0.8, "coverage": 0.15,
                            "level": min(MAX_LEVEL, i)},
+                # down the ladder and back up: the trained table then
+                # holds both moves
                 "cdp": {"accuracy": 0.2, "coverage": 0.05,
-                        "level": max(0, MAX_LEVEL - i)},
+                        "level": min(MAX_LEVEL, abs(MAX_LEVEL - i))},
             },
         })
     return rows
+
+
+def trained_q() -> str:
+    """A Q table trained on ``_series_rows()``, encoded for ``q=``."""
+    return encode_q(train_q_table(transitions_from_series(_series_rows())))
 
 
 def test_transitions_reconstruct_actions_from_level_deltas():
@@ -177,17 +179,20 @@ def test_train_policy_payload_runs_end_to_end(tmp_path):
     series.write_text(
         "\n".join(json.dumps(row) for row in _series_rows()) + "\n"
     )
-    payload = train_policy([str(series)], policy="bandit", epochs=2)
-    assert payload["policy"] == "bandit"
+    payload = train_policy([str(series)], epochs=2)
+    assert payload["policy"] == "qlearn"
     assert payload["transitions"] > 0
-    assert payload["hyperparameters"]["gamma"] == 0.0
-    # the emitted params string must validate and construct
-    assert validate_policy("bandit", payload["policy_params"]) == {}
+    # the emitted params are the table alone, and must validate and
+    # construct
+    table = train_q_table(transitions_from_series(_series_rows()),
+                          epochs=2)
+    assert payload["policy_params"] == f"q={encode_q(table)}"
+    assert validate_policy("qlearn", payload["policy_params"]) == {}
     config = SystemConfig.scaled().with_overrides(
-        throttle_policy="bandit", policy_params=payload["policy_params"]
+        throttle_policy="qlearn", policy_params=payload["policy_params"]
     ).validate()
     policy = create_policy(config)
-    assert policy.learn is False and policy.epsilon == 0.0
+    assert isinstance(policy, QLearningPolicy)
     assert len(policy.table) == N_STATES
 
 
@@ -195,7 +200,7 @@ def test_train_policy_errors(tmp_path):
     with pytest.raises(ConfigError):
         train_policy([str(tmp_path / "missing.jsonl")])
     with pytest.raises(ConfigError):
-        train_policy([], policy="pid")
+        train_policy([])
     short = tmp_path / "short.series.jsonl"
     short.write_text(json.dumps(_series_rows(2)[0]) + "\n")
     with pytest.raises(ConfigError):
@@ -285,8 +290,7 @@ def test_cli_train_policy_writes_payload(tmp_path, capsys):
     )
     out = tmp_path / "policy.json"
     assert main([
-        "train-policy", str(series), "--policy", "qlearn",
-        "--epochs", "2", "--out", str(out),
+        "train-policy", str(series), "--epochs", "2", "--out", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
     assert payload["policy"] == "qlearn"

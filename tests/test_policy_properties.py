@@ -4,8 +4,6 @@ Hypothesis drives random signal sequences through each policy and the
 generic :class:`PolicyThrottle` controller, asserting the invariants
 the subsystem's determinism story rests on:
 
-* **seed determinism**: two qlearn policies built from the same config
-  take identical action sequences on identical inputs, at any epsilon;
 * **level bounds**: any policy driving real prefetcher ladders keeps
   every level inside 0..MAX_LEVEL and moves at most one step per
   interval;
@@ -25,7 +23,6 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import ENGINES, SystemConfig
 from repro.policy import (
     ACTIONS,
     FeedbackSignals,
@@ -35,28 +32,25 @@ from repro.policy import (
     StaticLevelPolicy,
     Table3Policy,
 )
-from repro.policy.qlearn import decode_q, encode_q, stable_seed
+from repro.policy.qlearn import decode_q, encode_q
 from repro.policy.training import train_q_table, transitions_from_series
 from repro.prefetch.base import Prefetcher
 from repro.throttle.feedback import FeedbackCollector
 from repro.throttle.levels import MAX_LEVEL
+from tests.test_policy import trained_q
 
 fractions = st.floats(min_value=0.0, max_value=1.0,
                       allow_nan=False, allow_subnormal=False)
 levels = st.integers(min_value=0, max_value=MAX_LEVEL)
 
-#: one randomized interval observation: (coverage, accuracy, rival, bpki)
-observations = st.tuples(
-    fractions, fractions, fractions,
-    st.floats(min_value=0.0, max_value=200.0, allow_nan=False,
-              allow_subnormal=False),
-)
+#: one randomized interval observation: (coverage, accuracy, rival)
+observations = st.tuples(fractions, fractions, fractions)
 
 
-def signals(owner, interval, cov, acc, rival, level, bpki=0.0):
+def signals(owner, cov, acc, rival, level):
     return FeedbackSignals(
-        owner=owner, interval=interval, coverage=cov, accuracy=acc,
-        rival_coverage=rival, level=level, bpki=bpki,
+        owner=owner, coverage=cov, accuracy=acc, rival_coverage=rival,
+        level=level,
     )
 
 
@@ -65,68 +59,6 @@ class _NullPrefetcher(Prefetcher):
 
     def on_demand_access(self, now, addr, pc, l2_hit):
         return []
-
-
-# --------------------------------------------------------------------------
-# seed determinism
-# --------------------------------------------------------------------------
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(observations, min_size=1, max_size=40),
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    st.integers(min_value=0, max_value=2**16),
-)
-def test_qlearn_same_seed_same_actions(sequence, epsilon, seed):
-    config = SystemConfig.scaled()
-    runs = []
-    for _ in range(2):
-        policy = QLearningPolicy(epsilon=epsilon, seed=seed, config=config)
-        level = MAX_LEVEL
-        actions = []
-        for i, (cov, acc, rival, bpki) in enumerate(sequence):
-            decision = policy.decide(
-                signals("stream", i, cov, acc, rival, level, bpki)
-            )
-            actions.append(decision.action)
-            if decision.action == "up":
-                level = min(MAX_LEVEL, level + 1)
-            elif decision.action == "down":
-                level = max(0, level - 1)
-        runs.append(actions)
-    assert runs[0] == runs[1]
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(observations, min_size=5, max_size=40))
-def test_qlearn_reset_replays_the_same_stream(sequence):
-    policy = QLearningPolicy(epsilon=0.5, learn=False,
-                             config=SystemConfig.scaled())
-
-    def run():
-        actions = []
-        for i, (cov, acc, rival, bpki) in enumerate(sequence):
-            decision = policy.decide(
-                signals("stream", i, cov, acc, rival, MAX_LEVEL, bpki)
-            )
-            actions.append(decision.action)
-        return actions
-
-    first = run()
-    policy.reset()
-    assert run() == first
-
-
-def test_stable_seed_is_engine_invariant_but_params_sensitive():
-    base = SystemConfig.scaled()
-    seeds = {
-        stable_seed(base.with_overrides(engine=engine))
-        for engine in ENGINES
-    }
-    assert len(seeds) == 1
-    assert stable_seed(base) != stable_seed(
-        base.with_overrides(policy_params="epsilon=0.05")
-    )
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +74,7 @@ def _drive(policy, sequence):
                                   interval_evictions=1)
     controller.attach(collector)
     trace = []
-    for cov, acc, rival, _bpki in sequence:
+    for cov, acc, rival in sequence:
         for p in prefetchers:
             collector.record_issue(p.name, 3)
             for _ in range(max(1, int(acc * 3))):
@@ -164,7 +96,7 @@ def test_levels_stay_in_ladder_and_move_one_step(sequence, which):
         "table3": Table3Policy,
         "static1": lambda: StaticLevelPolicy(level=1),
         "pid": PidAccuracyPolicy,
-        "qlearn": lambda: QLearningPolicy(config=SystemConfig.scaled()),
+        "qlearn": lambda: QLearningPolicy(q=trained_q()),
     }[which]()
     for before, after in _drive(policy, sequence):
         assert 0 <= after <= MAX_LEVEL
@@ -223,8 +155,8 @@ def test_training_replay_is_bit_invariant(points):
 )
 def test_pid_integral_is_clamped(n_intervals, windup, accuracy):
     policy = PidAccuracyPolicy(windup=windup)
-    for i in range(n_intervals):
-        policy.decide(signals("stream", i, 0.0, accuracy, 0.0, level=0))
+    for _ in range(n_intervals):
+        policy.decide(signals("stream", 0.0, accuracy, 0.0, level=0))
     assert abs(policy.integral("stream")) <= windup + 1e-12
 
 
@@ -235,14 +167,10 @@ def test_pid_recovers_immediately_after_saturation(n_starved):
     ladder floor must not wind up negative charge — the first
     high-accuracy interval already commands up."""
     policy = PidAccuracyPolicy()
-    for i in range(n_starved):
-        decision = policy.decide(
-            signals("stream", i, 0.0, 0.0, 0.0, level=0)
-        )
+    for _ in range(n_starved):
+        decision = policy.decide(signals("stream", 0.0, 0.0, 0.0, level=0))
         assert decision.action != "up"
-    recovery = policy.decide(
-        signals("stream", n_starved, 0.0, 1.0, 0.0, level=0)
-    )
+    recovery = policy.decide(signals("stream", 0.0, 1.0, 0.0, level=0))
     assert recovery.action == "up"
 
 
