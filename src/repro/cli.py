@@ -618,13 +618,15 @@ def cmd_worker(args) -> int:
     # --ping: spawn one worker exactly the way a backend would and
     # round-trip a health check — the one-command install check for a
     # prospective remote host
+    from repro.experiments.engine.backends.remote import LOOPBACK_HOST
     from repro.experiments.engine.backends.stdio import (
         StdioTransport,
         child_environment,
-        worker_argv,
     )
 
-    transport = StdioTransport(worker_argv(), env=child_environment())
+    transport = StdioTransport(
+        LOOPBACK_HOST.worker_argv(), env=child_environment()
+    )
     try:
         pong = transport.ping(args.timeout)
     finally:
@@ -951,11 +953,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "result cache without re-execution")
     p.add_argument("--backend", default="local", choices=list(BACKEND_NAMES),
                    help="executor backend: 'local' fork-pool workers "
-                        "(default), 'subprocess' isolated worker "
-                        "processes over pipes, 'remote' workers on the "
-                        "hosts in --hosts; every backend shares the "
-                        "same checkpoint journal, so a sweep can resume "
-                        "on a different backend than it started on")
+                        "(default), 'remote' stdio workers on the hosts "
+                        "in --hosts, 'subprocess' the remote backend "
+                        "over a loopback host of --jobs workers; every "
+                        "backend shares one checkpoint journal, so a "
+                        "sweep can resume on another backend")
     p.add_argument("--hosts", metavar="FILE", default=None,
                    help="host inventory (TOML on Python 3.11+, or JSON) "
                         "for --backend remote: per-host command, python, "

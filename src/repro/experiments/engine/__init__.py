@@ -45,7 +45,6 @@ from repro.experiments.engine.backends import (
     HostSpec,
     LocalBackend,
     RemoteBackend,
-    SubprocessBackend,
     create_backend,
     load_hosts,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "HostSpec",
     "LocalBackend",
     "RemoteBackend",
-    "SubprocessBackend",
     "create_backend",
     "load_hosts",
     "FailedResult",

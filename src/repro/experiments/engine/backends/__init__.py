@@ -5,11 +5,11 @@ supply the transport:
 
 * :class:`LocalBackend` — forked worker processes on this machine (the
   default; bit-identical to the pre-backend engine);
-* :class:`SubprocessBackend` — isolated ``repro worker --serve-stdio``
-  interpreters over pipes, the transport template;
-* :class:`RemoteBackend` — the same stdio workers on other machines,
-  from a ``--hosts`` TOML/JSON inventory, with health-checked sticky
-  work-stealing dispatch.
+* :class:`RemoteBackend` — persistent ``repro worker --serve-stdio``
+  interpreters over pipes, with health-checked sticky work-stealing
+  dispatch.  Under the name ``remote`` it drives the hosts of a
+  ``--hosts`` TOML/JSON inventory; under ``subprocess`` it drives one
+  built-in loopback host on this machine, sized by ``--jobs``.
 
 All backends feed one shared CRC checkpoint journal, so the
 content-hashed job key dedups across machines and a killed fan-out
@@ -35,10 +35,7 @@ from repro.experiments.engine.backends.hosts import (
 )
 from repro.experiments.engine.backends.local import LocalBackend
 from repro.experiments.engine.backends.remote import RemoteBackend
-from repro.experiments.engine.backends.stdio import (
-    StdioTransport,
-    SubprocessBackend,
-)
+from repro.experiments.engine.backends.stdio import StdioTransport
 
 #: registry of backend names (the ``--backend`` vocabulary)
 BACKEND_NAMES = ("local", "subprocess", "remote")
@@ -54,7 +51,8 @@ def create_backend(
     *hosts* is required for ``remote``: an inventory file path or a
     pre-parsed list of :class:`HostSpec`.  *slots* defaults to the
     engine's ``--jobs`` at bind time (remote capacity always comes from
-    the inventory instead).
+    the inventory instead); for ``subprocess`` it is the loopback host's
+    capacity.
     """
     if name == "local":
         if hosts:
@@ -63,7 +61,7 @@ def create_backend(
     if name == "subprocess":
         if hosts:
             raise UsageError("--hosts only applies to --backend remote")
-        return SubprocessBackend(slots=slots)
+        return RemoteBackend.loopback(slots)
     if name == "remote":
         if not hosts:
             raise UsageError(
@@ -88,7 +86,6 @@ __all__ = [
     "LocalBackend",
     "RemoteBackend",
     "StdioTransport",
-    "SubprocessBackend",
     "create_backend",
     "hosts_from_dict",
     "load_hosts",

@@ -66,8 +66,9 @@ Outcome = Tuple[str, object]
 class ExecutorBackend:
     """Transport abstraction: run job attempts *somewhere*."""
 
-    #: registry name ("local", "subprocess", "remote"); provenance columns
-    #: and the ``dispatch`` engine event carry it
+    #: registry name ("local", "subprocess", "remote"; the last two are
+    #: both RemoteBackend); provenance columns and the ``dispatch``
+    #: engine event carry it
     name = "backend"
 
     def __init__(self, slots: Optional[int] = None):

@@ -17,9 +17,10 @@ via stdlib ``tomllib``) or JSON — same schema::
     {"hosts": {"node1": {"capacity": 8}, "node2": {"capacity": 4}}}
 
 ``command`` may be a string (shlex-split) or an argv list; an *empty*
-command runs the worker directly on this machine — the loopback form the
-test suite uses to exercise the remote dispatch path without ssh.  The
-final worker argv is ``<command> <python> -m repro worker --serve-stdio``.
+command runs the worker directly on this machine — the loopback form of
+the ``subprocess`` backend's built-in host, which the test suite also
+uses to exercise multi-host dispatch without ssh.  The final worker argv
+is ``<command> <python> -m repro worker --serve-stdio``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ class HostSpec:
 
 
 def _host_from_entry(name: str, entry: object) -> HostSpec:
+    if not name:
+        # the default command would be a bare `ssh`, which takes the
+        # interpreter for the host name
+        raise HostsFileError("host names must be non-empty")
     if not isinstance(entry, dict):
         raise HostsFileError(
             f"host {name!r}: spec must be an object, got {entry!r}"
@@ -91,9 +96,14 @@ def _host_from_entry(name: str, entry: object) -> HostSpec:
             f"{', '.join(sorted(unknown))}; "
             f"valid fields: {', '.join(sorted(_HOST_FIELDS))}"
         )
-    command = entry.get("command", f"ssh {name}")
+    command = entry.get("command", ("ssh", name))
     if isinstance(command, str):
-        argv = tuple(shlex.split(command))
+        try:
+            argv = tuple(shlex.split(command))
+        except ValueError as error:  # e.g. an unclosed quote
+            raise HostsFileError(
+                f"host {name!r}: command {command!r}: {error}"
+            ) from error
     elif isinstance(command, (list, tuple)) and all(
         isinstance(part, str) for part in command
     ):

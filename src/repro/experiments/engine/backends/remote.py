@@ -1,9 +1,10 @@
-"""The remote backend: sweep fan-out across a host inventory.
+"""The remote backend: sweep fan-out to ``repro worker --serve-stdio``.
 
-Each host in the ``--hosts`` inventory runs ``repro worker
---serve-stdio`` under its transport command (ssh by default), speaking
-the same protocol as the subprocess backend — one persistent worker
-session per occupied slot, up to the host's ``capacity``.
+Each host runs ``repro worker --serve-stdio`` under its transport
+command (ssh by default), one persistent worker session per occupied
+slot, up to the host's ``capacity``.  The ``subprocess`` backend is this
+backend over one built-in loopback host, :data:`LOOPBACK_HOST`, sized by
+the engine's ``--jobs`` and with zero cooldown.
 
 Dispatch is *sticky with work-stealing*: a job's content-hashed key
 picks a preferred host (stable across runs and host-list orderings), so
@@ -12,36 +13,48 @@ trace files.  When the preferred host is full or unhealthy, the least
 loaded healthy host steals the job (emitting a ``steal`` engine event),
 so stickiness never idles capacity.
 
-Health is observed, not assumed: every new session is ping-checked
-before it takes a job; a host that fails to connect — or dies mid-job —
-is marked lost and sits out ``recheck_seconds`` before dispatch tries it
-again.  Capacity shrinks accordingly, the engine's retry/backoff policy
-re-routes the affected jobs, and the shared checkpoint journal keeps the
-whole fan-out resumable from any surviving mix of backends.
+Health is observed, not assumed: a host with no idle session starts
+sessions for all of its free slots at once, so their interpreters import
+in parallel, and each answers a ping before its first job.  A host that
+fails to spawn or answer — or dies mid-job — is marked lost, its
+sessions are reaped, and it sits out ``recheck_seconds`` before dispatch
+tries it again.  Capacity shrinks accordingly, the engine's retry/backoff
+policy re-routes the affected jobs, and the shared checkpoint journal
+keeps the whole fan-out resumable from any surviving mix of backends.
 """
 
 from __future__ import annotations
 
+import select
+import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BackendConnectError
+from repro.errors import BackendConnectError, BackendError
+from repro.experiments.engine.backends.base import (
+    ExecutorBackend,
+    Outcome,
+    worker_reference,
+)
 from repro.experiments.engine.backends.hosts import HostSpec
 from repro.experiments.engine.backends.stdio import (
     DEFAULT_PING_TIMEOUT,
     StdioHandle,
-    StdioPoolBackend,
     StdioTransport,
     child_environment,
 )
-from repro.experiments.engine.job import Job
+from repro.experiments.engine.job import Job, ResultSnapshot
 
 #: how long a lost host sits out before dispatch re-probes it
 DEFAULT_RECHECK_SECONDS = 30.0
 
+#: the ``subprocess`` backend's host: this interpreter, launched directly
+LOOPBACK_HOST = HostSpec("localhost", python=sys.executable)
 
-class RemoteBackend(StdioPoolBackend):
-    """Stdio workers on other machines, from a host inventory."""
+
+class RemoteBackend(ExecutorBackend):
+    """Stdio workers on the hosts of an inventory."""
 
     name = "remote"
 
@@ -59,6 +72,42 @@ class RemoteBackend(StdioPoolBackend):
         self.recheck_seconds = recheck_seconds
         #: host name -> monotonic time until which it is considered lost
         self._lost_until: Dict[str, float] = {}
+        self._transports: List[StdioTransport] = []
+        self._worker_ref: Optional[str] = None
+        self._extra_paths: List[str] = []
+        #: the loopback host takes its capacity from bind's --jobs
+        self._sized_at_bind = False
+
+    @classmethod
+    def loopback(cls, slots: Optional[int] = None) -> "RemoteBackend":
+        """The ``subprocess`` backend: :data:`LOOPBACK_HOST` alone.
+
+        Its capacity is *slots*, or the engine's ``--jobs`` at bind.  Its
+        cooldown is zero: the loopback host is this machine, so waiting
+        to respawn would only idle the sweep.
+        """
+        backend = cls([LOOPBACK_HOST], recheck_seconds=0.0)
+        backend.name = "subprocess"
+        backend.slots = None if slots is None else max(1, int(slots))
+        backend._sized_at_bind = True
+        return backend
+
+    def bind(self, worker, emit, slots: int) -> None:
+        super().bind(worker, emit, slots)
+        if self._sized_at_bind:
+            self.hosts = [replace(LOOPBACK_HOST, capacity=self.slots)]
+        from repro.experiments.engine.worker import default_worker
+
+        if worker is not default_worker:
+            # fails fast (BackendError) for lambdas/closures a fresh
+            # interpreter could never re-import
+            self._worker_ref, extra = worker_reference(worker)
+            self._extra_paths = [extra] if extra else []
+
+    def _retire(self, transport: StdioTransport) -> None:
+        transport.kill()
+        if transport in self._transports:
+            self._transports.remove(transport)
 
     # -- health ------------------------------------------------------------
 
@@ -159,39 +208,197 @@ class RemoteBackend(StdioPoolBackend):
         )
 
     def _session_for(self, spec: HostSpec) -> Optional[StdioTransport]:
-        for transport in self._transports:
-            if (
-                transport.host == spec.name
-                and transport.busy is None
-                and transport.alive
-            ):
-                return transport
-        env = None
-        if spec.is_local:
-            extra = list(self._extra_paths)
-            if spec.pythonpath:
-                extra.append(spec.pythonpath)
-            env = child_environment(extra)
-        transport = None
+        idle = [
+            t
+            for t in self._transports
+            if t.host == spec.name and t.busy is None and t.alive
+        ]
         try:
-            transport = StdioTransport(
-                spec.worker_argv(), env=env, host=spec.name
-            )
-            transport.ping(self.connect_timeout)
+            if not idle:
+                # start every free slot at once, so the workers'
+                # interpreters import in parallel rather than one ping
+                # after another
+                env = None
+                if spec.is_local:
+                    extra = list(self._extra_paths)
+                    if spec.pythonpath:
+                        extra.append(spec.pythonpath)
+                    env = child_environment(extra)
+                for _ in range(self._free_slots(spec)):
+                    transport = StdioTransport(
+                        spec.worker_argv(), env=env, host=spec.name
+                    )
+                    self._transports.append(transport)
+                    idle.append(transport)
+            if not idle[0].checked:
+                idle[0].ping(self.connect_timeout)
         except BackendConnectError as error:
-            if transport is not None:
-                transport.kill()  # spawned but unhealthy: reap it
+            # reaps every session on the host, the unhealthy one included
             self._mark_lost(spec, str(error))
             return None
-        self._transports.append(transport)
-        return transport
+        return idle[0]
+
+    # -- protocol ----------------------------------------------------------
+
+    def submit(
+        self,
+        job: Job,
+        attempt: int,
+        fault=None,
+        heartbeat: Optional[float] = None,
+    ) -> StdioHandle:
+        from repro.service.protocol import submission_from_job
+
+        transport = self._acquire(job)
+        rid = transport.next_id()
+        request = {
+            "op": "run",
+            "id": rid,
+            "job": submission_from_job(job),
+            "worker": self._worker_ref,
+            "fault": fault.to_dict() if fault is not None else None,
+            "heartbeat": heartbeat,
+            "telemetry_dir": job.telemetry_dir,
+        }
+        try:
+            transport.send(request)
+        except BackendError:
+            self._retire(transport)
+            raise
+        handle = StdioHandle(
+            job=job,
+            attempt=attempt,
+            started=time.monotonic(),
+            host=transport.host,
+            request_id=rid,
+            session=transport,
+        )
+        transport.busy = handle
+        return handle
+
+    def poll(
+        self, handles: Sequence[StdioHandle], timeout: float
+    ) -> List[Tuple[StdioHandle, Outcome]]:
+        if not handles:
+            if timeout > 0:
+                time.sleep(timeout)
+            return []
+        readable = [
+            handle.session.fileno()
+            for handle in handles
+            if handle.session is not None and handle.session.alive
+        ]
+        if readable and timeout > 0:
+            try:
+                select.select(readable, [], [], timeout)
+            except (OSError, ValueError):
+                pass  # a raced-dead fd; the per-handle scan sorts it out
+        settled: List[Tuple[StdioHandle, Outcome]] = []
+        for handle in handles:
+            outcome = self._poll_one(handle)
+            if outcome is not None:
+                settled.append((handle, outcome))
+        return settled
+
+    def cancel(self, handle: StdioHandle) -> None:
+        transport = handle.session
+        if transport is None:
+            return
+        # the job runs *in* the worker process: killing the attempt is
+        # killing the transport (a fresh one respawns for the next job)
+        transport.busy = None
+        handle.session = None
+        self._retire(transport)
+
+    def close(self) -> None:
+        for transport in list(self._transports):
+            transport.shutdown()
+        self._transports.clear()
+
+    # -- outcome decoding --------------------------------------------------
+
+    def _poll_one(self, handle: StdioHandle) -> Optional[Outcome]:
+        transport = handle.session
+        if transport is None:
+            return None
+        messages, eof = transport.read_messages()
+        outcome: Optional[Outcome] = None
+        for message in messages:
+            if message.get("id") != handle.request_id:
+                continue  # a stale beat from a cancelled predecessor
+            event = message.get("event")
+            if event == "heartbeat":
+                handle.last_beat = time.monotonic()
+            elif event == "outcome" and outcome is None:
+                outcome = self._decode_outcome(handle, message)
+            elif event == "error" and outcome is None:
+                outcome = (
+                    "error",
+                    {
+                        "type": "BackendError",
+                        "message": (
+                            f"worker rejected request: "
+                            f"{message.get('error')}"
+                        ),
+                        "transient": False,
+                    },
+                )
+        if outcome is not None:
+            transport.busy = None
+            handle.session = None
+            return outcome
+        if eof or not transport.alive:
+            exitcode = transport.process.poll()
+            transport.busy = None
+            handle.session = None
+            self._retire(transport)
+            return (
+                "error",
+                {
+                    "type": "WorkerCrashError",
+                    "message": (
+                        "worker died without a result "
+                        f"(exit code {exitcode})"
+                    ),
+                    "transient": True,
+                },
+            )
+        return None
+
+    @staticmethod
+    def _decode_outcome(handle: StdioHandle, message: dict) -> Outcome:
+        if message.get("status") == "ok":
+            key = message.get("key")
+            if key is not None and key != handle.job.key():
+                return (
+                    "error",
+                    {
+                        "type": "BackendError",
+                        "message": (
+                            f"identity skew: executing host computed job "
+                            f"key {key} for {handle.job.label} (expected "
+                            f"{handle.job.key()}); check that every host "
+                            "runs the same repro version"
+                        ),
+                        "transient": False,
+                    },
+                )
+            return ("ok", ResultSnapshot(message.get("metrics") or {}))
+        error = message.get("error")
+        if not isinstance(error, dict):
+            error = {
+                "type": "JobError",
+                "message": f"malformed outcome: {message!r}",
+                "transient": False,
+            }
+        return ("error", error)
 
     # -- fault delivery ----------------------------------------------------
 
     def lose_host(self, handle: StdioHandle) -> None:
         """A mid-job host death: kill the session *and* the host."""
         host = handle.host
-        super().cancel(handle)
+        self.cancel(handle)
         for spec in self.hosts:
             if spec.name == host:
                 self._mark_lost(spec, "lost mid-job")

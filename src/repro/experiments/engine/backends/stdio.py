@@ -1,24 +1,21 @@
 """Line-delimited JSON transport to ``repro worker --serve-stdio``.
 
-This module is the transport template every out-of-process backend
-shares: a :class:`StdioTransport` owns one persistent worker process
-(spawned from an argv — plain ``python`` for the subprocess backend,
-``ssh host python`` for the remote one) and speaks the protocol
-documented in :mod:`repro.experiments.engine.worker`:
+A :class:`StdioTransport` owns one persistent worker process, spawned
+from a host's argv (plain ``python`` for the loopback host behind the
+``subprocess`` backend, ``ssh host python`` for an inventory host), and
+speaks the protocol documented in :mod:`repro.experiments.engine.worker`:
 
 * requests down stdin: ``{"op": "run"|"ping"|"shutdown", "id": N, ...}``
 * responses up stdout: ``{"id": N, "event":
   "heartbeat"|"outcome"|"pong"|...}``
 
 Jobs cross the boundary as *submissions* (the service's wire format), so
-the far side recomputes the content-hashed job key and the parent
-verifies it — version skew between dispatching and executing hosts
-surfaces as an explicit failure instead of a silently-wrong journal
-record.  Worker callables cross as ``"module:qualname"`` references.
+the far side recomputes the content-hashed job key and the dispatching
+backend (:mod:`repro.experiments.engine.backends.remote`) verifies it.
+Worker callables cross as ``"module:qualname"`` references.
 
-One job is in flight per transport at a time; a transport whose child
-dies is retired and respawned lazily, and EOF on the child's stdout maps
-to the same ``WorkerCrashError`` a fork-pool worker death produces.
+One job is in flight per transport at a time; EOF on the child's stdout
+maps to the same ``WorkerCrashError`` a fork-pool worker death produces.
 """
 
 from __future__ import annotations
@@ -27,20 +24,13 @@ import json
 import os
 import select
 import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BackendConnectError, BackendError
-from repro.experiments.engine.backends.base import (
-    AttemptHandle,
-    ExecutorBackend,
-    Outcome,
-    worker_reference,
-)
-from repro.experiments.engine.job import Job, ResultSnapshot
+from repro.errors import BackendConnectError
+from repro.experiments.engine.backends.base import AttemptHandle
 
 #: how long ``ping`` waits for ``pong`` before declaring a host unreachable
 DEFAULT_PING_TIMEOUT = 10.0
@@ -74,11 +64,6 @@ def child_environment(extra_paths: Sequence[str] = ()) -> Dict[str, str]:
     return env
 
 
-def worker_argv() -> List[str]:
-    """The argv that turns this interpreter into a stdio job server."""
-    return [sys.executable, "-m", "repro", "worker", "--serve-stdio"]
-
-
 class StdioTransport:
     """One persistent worker process and its protocol state."""
 
@@ -91,6 +76,8 @@ class StdioTransport:
         self.argv = list(argv)
         self.host = host
         self.busy: Optional[AttemptHandle] = None
+        #: answered a health-check ping (required before its first job)
+        self.checked = False
         self._buffer = b""
         self._next_id = 0
         try:
@@ -177,6 +164,7 @@ class StdioTransport:
             messages, eof = self.read_messages()
             for message in messages:
                 if message.get("event") == "pong" and message.get("id") == rid:
+                    self.checked = True
                     return message
             if eof:
                 raise BackendConnectError(
@@ -220,234 +208,3 @@ class StdioHandle(AttemptHandle):
 
     request_id: int = 0
     session: StdioTransport = field(default=None, repr=False)
-
-
-class StdioPoolBackend(ExecutorBackend):
-    """Shared submit/poll/cancel over a pool of stdio transports.
-
-    Subclasses decide where transports come from (:meth:`_acquire`);
-    everything protocol-shaped lives here, so the subprocess and remote
-    backends cannot drift apart.
-    """
-
-    def __init__(self, slots: Optional[int] = None):
-        super().__init__(slots)
-        self._transports: List[StdioTransport] = []
-        self._worker_ref: Optional[str] = None
-        self._worker_is_default = True
-        self._extra_paths: List[str] = []
-
-    def bind(self, worker, emit, slots: int) -> None:
-        super().bind(worker, emit, slots)
-        from repro.experiments.engine.worker import default_worker
-
-        self._worker_is_default = worker is default_worker
-        if not self._worker_is_default:
-            # fails fast (BackendError) for lambdas/closures a fresh
-            # interpreter could never re-import
-            self._worker_ref, extra = worker_reference(worker)
-            self._note_worker_path(extra)
-
-    def _note_worker_path(self, extra: Optional[str]) -> None:
-        """Record an extra sys.path root spawned workers will need."""
-        self._extra_paths = [extra] if extra else []
-
-    def _acquire(self, job: Job) -> StdioTransport:
-        """A free transport to run *job* on (spawn or reuse)."""
-        raise NotImplementedError
-
-    def _retire(self, transport: StdioTransport) -> None:
-        transport.kill()
-        if transport in self._transports:
-            self._transports.remove(transport)
-
-    # -- protocol ----------------------------------------------------------
-
-    def submit(
-        self,
-        job: Job,
-        attempt: int,
-        fault=None,
-        heartbeat: Optional[float] = None,
-    ) -> StdioHandle:
-        from repro.service.protocol import submission_from_job
-
-        transport = self._acquire(job)
-        rid = transport.next_id()
-        request = {
-            "op": "run",
-            "id": rid,
-            "job": submission_from_job(job),
-            "worker": self._worker_ref,
-            "fault": fault.to_dict() if fault is not None else None,
-            "heartbeat": heartbeat,
-            "telemetry_dir": job.telemetry_dir,
-        }
-        try:
-            transport.send(request)
-        except BackendError:
-            self._retire(transport)
-            raise
-        handle = StdioHandle(
-            job=job,
-            attempt=attempt,
-            started=time.monotonic(),
-            host=transport.host,
-            request_id=rid,
-            session=transport,
-        )
-        transport.busy = handle
-        return handle
-
-    def poll(
-        self, handles: Sequence[StdioHandle], timeout: float
-    ) -> List[Tuple[StdioHandle, Outcome]]:
-        if not handles:
-            if timeout > 0:
-                time.sleep(timeout)
-            return []
-        readable = [
-            handle.session.fileno()
-            for handle in handles
-            if handle.session is not None and handle.session.alive
-        ]
-        if readable and timeout > 0:
-            try:
-                select.select(readable, [], [], timeout)
-            except (OSError, ValueError):
-                pass  # a raced-dead fd; the per-handle scan sorts it out
-        settled: List[Tuple[StdioHandle, Outcome]] = []
-        for handle in handles:
-            outcome = self._poll_one(handle)
-            if outcome is not None:
-                settled.append((handle, outcome))
-        return settled
-
-    def cancel(self, handle: StdioHandle) -> None:
-        transport = handle.session
-        if transport is None:
-            return
-        # the job runs *in* the worker process: killing the attempt is
-        # killing the transport (a fresh one respawns for the next job)
-        transport.busy = None
-        handle.session = None
-        self._retire(transport)
-
-    def close(self) -> None:
-        for transport in list(self._transports):
-            transport.shutdown()
-        self._transports.clear()
-
-    # -- outcome decoding --------------------------------------------------
-
-    def _poll_one(self, handle: StdioHandle) -> Optional[Outcome]:
-        transport = handle.session
-        if transport is None:
-            return None
-        messages, eof = transport.read_messages()
-        outcome: Optional[Outcome] = None
-        for message in messages:
-            if message.get("id") != handle.request_id:
-                continue  # a stale beat from a cancelled predecessor
-            event = message.get("event")
-            if event == "heartbeat":
-                handle.last_beat = time.monotonic()
-            elif event == "outcome" and outcome is None:
-                outcome = self._decode_outcome(handle, message)
-            elif event == "error" and outcome is None:
-                outcome = (
-                    "error",
-                    {
-                        "type": "BackendError",
-                        "message": (
-                            f"worker rejected request: "
-                            f"{message.get('error')}"
-                        ),
-                        "transient": False,
-                    },
-                )
-        if outcome is not None:
-            transport.busy = None
-            handle.session = None
-            return outcome
-        if eof or not transport.alive:
-            exitcode = transport.process.poll()
-            transport.busy = None
-            handle.session = None
-            self._retire(transport)
-            return (
-                "error",
-                {
-                    "type": "WorkerCrashError",
-                    "message": (
-                        "worker died without a result "
-                        f"(exit code {exitcode})"
-                    ),
-                    "transient": True,
-                },
-            )
-        return None
-
-    @staticmethod
-    def _decode_outcome(handle: StdioHandle, message: dict) -> Outcome:
-        if message.get("status") == "ok":
-            key = message.get("key")
-            if key is not None and key != handle.job.key():
-                return (
-                    "error",
-                    {
-                        "type": "BackendError",
-                        "message": (
-                            f"identity skew: executing host computed job "
-                            f"key {key} for {handle.job.label} (expected "
-                            f"{handle.job.key()}); check that every host "
-                            "runs the same repro version"
-                        ),
-                        "transient": False,
-                    },
-                )
-            return ("ok", ResultSnapshot(message.get("metrics") or {}))
-        error = message.get("error")
-        if not isinstance(error, dict):
-            error = {
-                "type": "JobError",
-                "message": f"malformed outcome: {message!r}",
-                "transient": False,
-            }
-        return ("error", error)
-
-
-class SubprocessBackend(StdioPoolBackend):
-    """Isolated ``repro worker --serve-stdio`` children on this machine.
-
-    The transport template: everything the remote backend does over ssh,
-    this backend does over plain pipes — same wire protocol, same worker
-    entry point, same failure shapes — which is what makes it the CI
-    stand-in for a cluster.
-    """
-
-    name = "subprocess"
-
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "slots": self.slots,
-            "python": sys.executable,
-        }
-
-    def _acquire(self, job: Job) -> StdioTransport:
-        for transport in self._transports:
-            if transport.busy is None and transport.alive:
-                return transport
-        live = [t for t in self._transports if t.alive]
-        if len(live) >= (self.slots or 1):
-            raise BackendError(
-                "no free subprocess worker (submit past capacity)"
-            )
-        transport = StdioTransport(
-            worker_argv(),
-            env=child_environment(self._extra_paths),
-            host=None,
-        )
-        self._transports.append(transport)
-        return transport

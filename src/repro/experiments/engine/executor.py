@@ -4,10 +4,11 @@ Scheduling *policy* lives here; the *transport* that physically runs an
 attempt is a pluggable :class:`~repro.experiments.engine.backends.
 ExecutorBackend` — the default :class:`~repro.experiments.engine.
 backends.LocalBackend` forks a worker process per attempt (today's
-behavior, bit-identical), the ``subprocess`` backend spawns isolated
-``repro worker --serve-stdio`` interpreters, and the ``remote`` backend
-drives the same workers on other machines over ssh.  Whatever carries
-the attempt, every failure shape lands in the same settle path:
+behavior, bit-identical), and the ``remote`` backend drives persistent
+``repro worker --serve-stdio`` interpreters on other machines over ssh;
+``subprocess`` is that remote backend over one loopback host on this
+machine.  Whatever carries the attempt, every failure shape lands in
+the same settle path:
 
 * the worker reports — ``("ok", result)`` or ``("error", info)``;
 * the worker dies silently (segfault, ``os._exit``, OOM kill, dead ssh

@@ -42,7 +42,6 @@ from repro.experiments.engine.backends import (
     HostSpec,
     LocalBackend,
     RemoteBackend,
-    SubprocessBackend,
     hosts_from_dict,
     load_hosts,
     resolve_worker,
@@ -97,9 +96,27 @@ class TestBackendFactory:
 
     def test_names_construct(self):
         assert isinstance(create_backend("local"), LocalBackend)
-        assert isinstance(create_backend("subprocess"), SubprocessBackend)
+        subprocess_backend = create_backend("subprocess")
+        assert isinstance(subprocess_backend, RemoteBackend)
+        assert subprocess_backend.name == "subprocess"
         remote = create_backend("remote", hosts=[HostSpec("a")])
         assert isinstance(remote, RemoteBackend)
+        assert remote.name == "remote"
+
+    def test_subprocess_is_one_loopback_host_sized_by_jobs(self):
+        backend = create_backend("subprocess")
+        backend.bind(default_worker, lambda kind, name, **args: None, 3)
+        try:
+            assert backend.name == "subprocess"
+            (host,) = backend.hosts
+            assert host.command == ()
+            assert host.python == sys.executable
+            assert host.capacity == 3
+            # zero cooldown: a lost loopback host is back at once
+            backend._mark_lost(host, "test takedown")
+            assert backend.capacity() == 3
+        finally:
+            backend.close()
 
     def test_unknown_backend_is_a_usage_error(self):
         with pytest.raises(UsageError, match="unknown backend"):
@@ -147,6 +164,9 @@ class TestHostsFiles:
         assert hosts[0].python == "python3.11"
         # no explicit command -> ssh-style transport to the host name
         assert hosts[0].worker_argv()[0] == "ssh"
+        # ... with the name as one argument, spaces and all
+        (spaced,) = hosts_from_dict({"hosts": {"gpu box": {}}})
+        assert spaced.worker_argv()[:2] == ["ssh", "gpu box"]
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11), reason="tomllib is 3.11+"
@@ -161,6 +181,17 @@ class TestHostsFiles:
         assert [h.name for h in hosts] == ["one", "two"]
         assert hosts[0].capacity == 3
 
+    def test_toml_inventory_without_tomllib_points_at_json(
+        self, tmp_path, monkeypatch
+    ):
+        # a None entry fails `import tomllib` on any interpreter, as a
+        # missing module does on Python 3.10
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "hosts.toml"
+        path.write_text('[hosts.one]\ncapacity = 3\n')
+        with pytest.raises(HostsFileError, match="JSON form"):
+            load_hosts(path)
+
     def test_malformed_hosts_reject(self, tmp_path):
         for payload in (
             {},  # no hosts table
@@ -168,6 +199,8 @@ class TestHostsFiles:
             {"hosts": {"a": {"capacity": 0}}},  # capacity must be >= 1
             {"hosts": {"a": {"flavour": "salt"}}},  # unknown field
             {"hosts": {"a": {"command": 7}}},  # command not str/list
+            {"hosts": {"a": {"command": "ssh 'node1"}}},  # unclosed quote
+            {"hosts": {"": {}}},  # empty name: bare `ssh python3 ...`
         ):
             with pytest.raises(HostsFileError):
                 hosts_from_dict(payload)

@@ -183,6 +183,32 @@ class TestHostHealth:
         assert transport.process.stdin.closed
         assert transport.process.stdout.closed
 
+    def test_free_slots_start_before_the_first_ping(
+        self, tmp_path, monkeypatch
+    ):
+        order = []
+
+        class RecordingTransport(StdioTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                order.append("spawn")
+
+            def ping(self, *args, **kwargs):
+                order.append("ping")
+                return super().ping(*args, **kwargs)
+
+        monkeypatch.setattr(remote, "StdioTransport", RecordingTransport)
+        jobs = [Job(f"b{i}", "m", input_set="test") for i in range(2)]
+        engine = make_engine(tmp_path, [loopback("alpha", capacity=2)])
+        try:
+            report = engine.run(jobs)
+        finally:
+            engine.close()
+        assert report.exit_code == 0
+        # both workers import in parallel, and each still answers a
+        # ping before its first job
+        assert order == ["spawn", "spawn", "ping", "ping"]
+
     def test_lost_host_cools_down_then_rejoins(self):
         backend = RemoteBackend(
             [loopback("alpha", capacity=2), loopback("beta", capacity=3)],
