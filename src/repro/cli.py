@@ -870,7 +870,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input-set", default="ref",
                        choices=["ref", "train", "test"])
         p.add_argument("--engine", default=None, choices=list(ENGINES),
-                       help="simulation engine (default: the config's)")
+                       help="simulation engine (default: fast; reference "
+                            "is the bit-identical oracle, and resumes a "
+                            "journal written before fast became the "
+                            "default)")
         p.add_argument("--policy", default=None, choices=list(POLICY_NAMES),
                        help="throttling policy for coordinated mechanisms "
                             "(default: table3, the paper's heuristic)")

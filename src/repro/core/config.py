@@ -43,7 +43,8 @@ _POSITIVE_FIELDS = (
 #: valid simulation engines: the readable object-per-block reference
 #: model and the flat array-backed fast kernel (see DESIGN.md, "Engine
 #: internals & performance").  Both produce bit-identical results,
-#: enforced by tests/differential/.
+#: enforced by tests/differential/, which treats "reference" as the
+#: oracle.
 ENGINES = ("reference", "fast")
 
 
@@ -52,11 +53,14 @@ class SystemConfig:
     """Every knob of the simulated machine."""
 
     # -- engine ---------------------------------------------------------------
-    #: which core/cache implementation executes the trace.  "reference" is
-    #: the original object-per-access model; "fast" is the flat-array
-    #: kernel.  Both are behavior-identical (differential-tested), so this
-    #: knob trades readability for speed, never results.
-    engine: str = "reference"
+    #: which core/cache implementation executes the trace.  "fast" (the
+    #: default) is the flat-array kernel; "reference" is the original
+    #: object-per-access model, kept as the oracle the differential and
+    #: golden tests check "fast" against.  Both are behavior-identical,
+    #: so this knob trades readability for speed, never results.  It is
+    #: part of a job's content hash, so a journal written before "fast"
+    #: became the default resumes under engine="reference".
+    engine: str = "fast"
 
     # -- core ---------------------------------------------------------------
     issue_width: int = 4  # decode/retire up to 4 instructions (Table 5)

@@ -1,4 +1,5 @@
-"""Fast-path simulation kernel: the ``engine="fast"`` core model.
+"""Fast-path simulation kernel: the ``engine="fast"`` core model, the
+default; :class:`~repro.core.cpu.Core` stays as its oracle.
 
 :class:`FastCore` executes exactly the algorithm of
 :class:`~repro.core.cpu.Core` — same event ordering, same arithmetic,

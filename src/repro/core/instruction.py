@@ -11,13 +11,15 @@ paper (PGs key on static loads; BPKI normalizes by retired instructions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, NamedTuple
 
 
-@dataclass(frozen=True)
-class MemOp:
+class MemOp(NamedTuple):
     """One dynamic memory operation in a workload trace.
+
+    A named tuple rather than a frozen dataclass: workloads emit one per
+    traced access, and tuple construction costs about a third as much.
+    Fields are still read-only and no attribute can be added.
 
     Attributes:
         pc: Static instruction identifier of the load/store.  Pointer
@@ -33,8 +35,6 @@ class MemOp:
             completes — the property that makes LDS misses expensive and
             LDS prefetching valuable in the first place.
     """
-
-    __slots__ = ("pc", "addr", "is_load", "work", "dep")
 
     pc: int
     addr: int

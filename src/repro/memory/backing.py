@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Tuple
 
-from repro.memory.address import (
-    ADDRESS_MASK,
-    WORD_SIZE,
-    align_down,
-    validate_address,
-)
+from repro.memory.address import ADDRESS_MASK, WORD_SIZE, validate_address
 
 
 class SimulatedMemory:
@@ -32,15 +27,20 @@ class SimulatedMemory:
     def __init__(self) -> None:
         self._words: Dict[int, int] = {}
 
+    # read_word/write_word run once per traced access, so both align
+    # inline (addr & ~3) and call validate_address only to raise
+
     def read_word(self, addr: int) -> int:
         """Read the 32-bit value at word-aligned *addr* (0 if never written)."""
-        validate_address(addr)
-        return self._words.get(align_down(addr, WORD_SIZE), 0)
+        if not 0 <= addr <= ADDRESS_MASK:
+            validate_address(addr)
+        return self._words.get(addr & ~3, 0)
 
     def write_word(self, addr: int, value: int) -> None:
         """Write 32-bit *value* at word-aligned *addr*."""
-        validate_address(addr)
-        self._words[align_down(addr, WORD_SIZE)] = value & ADDRESS_MASK
+        if not 0 <= addr <= ADDRESS_MASK:
+            validate_address(addr)
+        self._words[addr & ~3] = value & ADDRESS_MASK
 
     def read_block_words(self, block_addr: int, block_size: int) -> List[int]:
         """All word values in the cache block at *block_addr*, in order.

@@ -30,8 +30,13 @@ class StructLayout:
     fields: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.fields)) != len(self.fields):
+        offsets = {
+            field: index * WORD_SIZE for index, field in enumerate(self.fields)
+        }
+        if len(offsets) != len(self.fields):
             raise ValueError(f"duplicate field names in struct {self.name!r}")
+        # field -> byte offset, read on every traced field access
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def size(self) -> int:
@@ -39,11 +44,20 @@ class StructLayout:
 
     def offset(self, field: str) -> int:
         """Byte offset of *field* within the record."""
-        return self.fields.index(field) * WORD_SIZE
+        try:
+            return self._offsets[field]
+        except KeyError:
+            raise self._unknown(field) from None
 
     def addr_of(self, base: int, field: str) -> int:
         """Address of *field* in the record at *base*."""
-        return base + self.offset(field)
+        try:
+            return base + self._offsets[field]
+        except KeyError:
+            raise self._unknown(field) from None
+
+    def _unknown(self, field: str) -> ValueError:
+        return ValueError(f"struct {self.name!r} has no field {field!r}")
 
 
 class Program:
@@ -82,16 +96,17 @@ class Program:
         the node whose field is being read), used to stamp the load-load
         dependence.
         """
+        producers = self._producers
         dep = -1
         if base is not None:
-            dep = self._producers.get(base, -1)
+            dep = producers.get(base, -1)
         seq = self._load_seq
         self._load_seq = seq + 1
         self._ops.append(MemOp(pc, addr, True, self._pending_work, dep))
         self._pending_work = 0
         value = self.memory.read_word(addr)
         if value >= self._MIN_POINTER:
-            self._producers[value] = seq
+            producers[value] = seq
         return value
 
     def store(self, pc: int, addr: int, value: int) -> None:

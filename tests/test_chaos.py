@@ -296,15 +296,27 @@ class TestGracefulDrain:
 
 @pytest.fixture(scope="module")
 def intact_journal(tmp_path_factory):
-    """One clean run's journal bytes: (lines, key -> record)."""
+    """One clean run's journal bytes: (lines, key -> record).
+
+    Each record is re-framed with its float volatile fields pinned to
+    six-decimal values, the width a real run usually writes, so the
+    final record's length — and with it which cut offsets the sweep runs
+    rather than skips — is the same on every run.
+    """
     path = tmp_path_factory.mktemp("torn") / "intact.jsonl"
     journal = CheckpointJournal(path)
     engine = ExecutionEngine(
         jobs=1, worker=chaos_worker, checkpoint=journal, retry=FAST_RETRY
     )
     assert engine.run(jobs()).exit_code == 0
-    lines = path.read_bytes().splitlines(keepends=True)
+    lines = []
+    for line in path.read_bytes().splitlines(keepends=True):
+        record = json.loads(line)["data"]
+        record.update(duration=0.012345, queue_seconds=0.006789)
+        lines.append(frame_record(record).encode())
+    path.write_bytes(b"".join(lines))
     assert len(lines) == len(BENCHMARKS)
+    assert _MAX_CUT > len(lines[-1])
     return lines, journal.load()
 
 

@@ -38,7 +38,9 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 #: high-CDP-accuracy benchmark singled out in Table 1
 BENCHES = ("mst", "health", "perimeter")
 INPUT_SET = "test"
-CONFIG = SystemConfig.scaled()
+#: the goldens check the oracle engine; tests/differential checks the
+#: default fast engine against it
+CONFIG = SystemConfig.scaled().with_overrides(engine="reference")
 
 FIG07_MECHANISMS = ("cdp", "ecdp", "ecdp+throttle")
 

@@ -24,6 +24,10 @@ class TestReadWrite:
     def test_out_of_range_address_rejected(self, memory):
         with pytest.raises(ValueError):
             memory.read_word(1 << 33)
+        with pytest.raises(ValueError):
+            memory.write_word(1 << 33, 0)
+        with pytest.raises(ValueError):
+            memory.read_word(-4)
 
 
 class TestBlockRead:

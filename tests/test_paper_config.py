@@ -9,7 +9,11 @@ given proportionally larger ("large" input set) workloads.
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.experiments.runner import run_benchmark
+from repro.core.cpu import Core
+from repro.core.fastcpu import FastCore
+from repro.experiments.configs import get_mechanism
+from repro.experiments.runner import build_core, make_dram, run_benchmark
+from repro.workloads.registry import get_workload
 
 
 class TestPaperPreset:
@@ -28,6 +32,23 @@ class TestPaperPreset:
         assert scaled.interval_evictions == 256
         assert scaled.t_coverage == 0.35 and scaled.a_low == 0.45
         assert scaled.a_high == SystemConfig.paper().a_high == 0.7
+
+    def test_presets_default_to_the_fast_engine(self):
+        """fast is the default; reference stays selectable as the oracle."""
+        default = SystemConfig()
+        assert default.engine == "fast"
+        assert SystemConfig.scaled().engine == "fast"
+        assert SystemConfig.paper().engine == "fast"
+        for config, core_class in (
+            (default, FastCore),
+            (default.with_overrides(engine="reference"), Core),
+        ):
+            instance = get_workload("mst").build("test")
+            core = build_core(
+                get_mechanism("baseline"), config, instance,
+                make_dram(config),
+            )
+            assert type(core) is core_class
 
     def test_paper_config_runs_small_input(self):
         """Mechanically sound at paper scale even on tiny inputs."""

@@ -9,6 +9,7 @@ from repro.experiments.runner import (
     LruCache,
     cache_stats,
     clear_caches,
+    profile_benchmark,
     run_benchmark,
     set_cache_capacity,
 )
@@ -85,6 +86,28 @@ class TestRunnerWiring:
         second = run_benchmark("mst", "baseline", CFG, input_set="test")
         assert second is first
         assert runner._RESULT_CACHE.hits == hits_before + 1
+
+    def test_profiles_keyed_by_what_the_profiler_reads(self):
+        """Engine, DRAM timing and throttling policy never reach the
+        functional profiler, so configs that differ only there share one
+        profile; a different L2 does not."""
+        profiles = [
+            profile_benchmark("mst", config, input_set="test")
+            for config in (
+                CFG.with_overrides(engine="reference"),
+                CFG.with_overrides(engine="fast"),
+                CFG.with_overrides(dram_bank_occupancy=250),
+                CFG.with_overrides(
+                    throttle_policy="static", policy_params="level=1"
+                ),
+            )
+        ]
+        assert cache_stats()["profiles"]["misses"] == 1
+        assert all(profile is profiles[0] for profile in profiles)
+        profile_benchmark(
+            "mst", CFG.with_overrides(l2_size=32 * 1024), input_set="test"
+        )
+        assert cache_stats()["profiles"]["misses"] == 2
 
     def test_cache_stats_shape(self):
         stats = cache_stats()

@@ -222,7 +222,9 @@ class TestRunIntegration:
         assert series.samples[0]["interval"] >= 1 or series.samples[0]["tail"]
 
     def test_trajectory_identical_to_differential_harness(self):
-        snapshot = capture("mst", "ecdp+throttle", SMALL, input_set="test")
+        snapshot = capture("mst", "ecdp+throttle",
+                           SMALL.with_overrides(engine="reference"),
+                           input_set="test")
         telemetry, __ = run_with_telemetry()
         assert snapshot["throttle"]  # the cell actually throttles
         assert telemetry.stream("core0").trajectory == snapshot["throttle"]
