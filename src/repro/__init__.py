@@ -24,7 +24,6 @@ from repro.core.stats import CoreResult
 from repro.errors import (
     ConfigError,
     ReproError,
-    TraceFormatError,
     UnknownNameError,
 )
 from repro.experiments.configs import MECHANISMS, Mechanism, get_mechanism
@@ -59,7 +58,6 @@ __all__ = [
     "ReproError",
     "RetryPolicy",
     "SystemConfig",
-    "TraceFormatError",
     "UnknownNameError",
     "all_names",
     "get_mechanism",

@@ -740,6 +740,14 @@ _TRACE_FORMATS = {
 def cmd_trace(args) -> int:
     """Run one cell with full telemetry and export the event trace."""
     config = _config(args)
+    writer, suffix = _TRACE_FORMATS[args.format]
+    out = args.out or f"{args.benchmark}-{args.mechanism}{suffix}"
+    # check every destination before simulating, not after writing one
+    for flag, path in (("--out", out), ("--series", args.series)):
+        if path and not Path(path).parent.is_dir():
+            raise UsageError(
+                f"{flag}: directory {str(Path(path).parent)!r} does not exist"
+            )
     telemetry = Telemetry(
         TelemetryConfig(
             series=True,
@@ -752,8 +760,6 @@ def cmd_trace(args) -> int:
         args.benchmark, args.mechanism, config,
         input_set=args.input_set, telemetry=telemetry,
     )
-    writer, suffix = _TRACE_FORMATS[args.format]
-    out = args.out or f"{args.benchmark}-{args.mechanism}{suffix}"
     written = writer(telemetry, out)
     if args.format == "chrome":
         problems = validate_chrome_trace(out)

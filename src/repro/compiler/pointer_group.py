@@ -15,7 +15,7 @@ demanded before eviction; a PG is *beneficial* when usefulness exceeds 0.5
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: A pointer group key: (static load PC, byte offset from accessed address).
 PGKey = Tuple[int, int]
@@ -67,6 +67,21 @@ class PointerGroupProfile:
 
     def __len__(self) -> int:
         return len(self._stats)
+
+    def to_rows(self) -> List[List[int]]:
+        """``[pc, offset, issued, useful]`` per PG, in first-seen order."""
+        return [
+            [pc, offset, stats.issued, stats.useful]
+            for (pc, offset), stats in self._stats.items()
+        ]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "PointerGroupProfile":
+        """The profile :meth:`to_rows` described."""
+        profile = cls()
+        for pc, offset, issued, useful in rows:
+            profile._stats[(pc, offset)] = PointerGroupStats(issued, useful)
+        return profile
 
     def beneficial_keys(self) -> List[PGKey]:
         """PGs whose majority of prefetches were useful."""

@@ -67,6 +67,10 @@ class PcAllocator:
         self._count += 1
         return pc
 
+    def names(self) -> List[str]:
+        """Site names in allocation order (re-registering them restores PCs)."""
+        return list(self._by_name)
+
     def name_of(self, pc: int) -> str:
         """Reverse lookup, for diagnostics."""
         for name, assigned in self._by_name.items():

@@ -5,15 +5,14 @@ Every error the runner, execution engine, or CLI can surface derives from
 type, print one actionable line, and map it to a meaningful exit code:
 
 * ``exit_code == 2`` — the user asked for something invalid (bad config,
-  unknown benchmark/mechanism, malformed trace file).  Fix the invocation.
+  unknown benchmark/mechanism).  Fix the invocation.
 * ``exit_code == 1`` — the request was valid but execution failed (a job
   timed out, a worker crashed, retries were exhausted).
 
 The ``transient`` flag drives the execution engine's retry policy:
 transient failures (timeouts, worker loss, ``OSError``) are retried with
-exponential backoff; permanent failures (:class:`ConfigError`,
-:class:`TraceFormatError`) fail fast — rerunning a job against the same
-bad input can never succeed.
+exponential backoff; permanent failures (:class:`ConfigError`) fail
+fast — rerunning a job against the same bad input can never succeed.
 
 Some classes multiply inherit from the builtin their call sites
 historically raised (``KeyError``, ``ValueError``) so existing callers
@@ -61,28 +60,6 @@ class UnknownNameError(UsageError, KeyError):
 
     def __str__(self) -> str:  # KeyError would print repr(args[0])
         return self.args[0] if self.args else ""
-
-
-class TraceFormatError(ReproError, ValueError):
-    """A trace file is corrupt, truncated, or not a trace file at all.
-
-    Carries the byte ``offset`` and zero-based ``record_index`` of the
-    first bad record so the corruption can be located and repaired.
-    """
-
-    exit_code = 2
-
-    def __init__(
-        self,
-        message: str,
-        path: object = None,
-        offset: Optional[int] = None,
-        record_index: Optional[int] = None,
-    ):
-        super().__init__(message)
-        self.path = path
-        self.offset = offset
-        self.record_index = record_index
 
 
 class TransientError(ReproError):

@@ -259,6 +259,7 @@ class RemoteBackend(ExecutorBackend):
             "fault": fault.to_dict() if fault is not None else None,
             "heartbeat": heartbeat,
             "telemetry_dir": job.telemetry_dir,
+            "artifact_dir": job.artifact_dir,
         }
         try:
             transport.send(request)

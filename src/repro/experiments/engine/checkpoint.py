@@ -197,6 +197,11 @@ class CheckpointJournal:
         slug = re.sub(r"[^A-Za-z0-9._+-]+", "_", name).strip("_") or "sweep"
         return cls(Path(directory) / f"{slug}.jsonl")
 
+    @property
+    def artifact_dir(self) -> Path:
+        """The sweep's trace and profile store: ``<stem>-artifacts/`` beside it."""
+        return self.path.with_name(f"{self.path.stem}-artifacts")
+
     def exists(self) -> bool:
         return self.path.exists()
 

@@ -44,6 +44,7 @@ in-flight work, journal it, return an ``interrupted`` report).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 import warnings
@@ -71,6 +72,7 @@ from repro.experiments.engine.job import (
 from repro.experiments.engine.retry import QuarantinePolicy, RetryPolicy
 from repro.experiments.engine.supervise import GracefulDrain, WatchdogPolicy
 from repro.experiments.engine.worker import default_worker
+from repro.workloads.artifacts import ArtifactStore, warm_keys
 
 #: upper bound on one scheduler tick, so deadlines are checked promptly
 _MAX_TICK = 0.2
@@ -199,6 +201,17 @@ class ExecutionEngine:
             backend = create_backend(backend)
         self.backend: ExecutorBackend = backend
         self.backend.bind(self.worker, self._emit, self.jobs)
+        #: where dispatched jobs share traces and profiles: beside the
+        #: journal, so one sweep (or service) reuses them across its
+        #: workers; no journal, no store
+        self.artifact_dir = (
+            str(checkpoint.artifact_dir) if checkpoint is not None else None
+        )
+        if self.artifact_dir is not None:
+            # hash the sources now, right after the code was imported:
+            # forked workers inherit the keys, and a source edited later
+            # (under a long-lived service) cannot key this code's output
+            warm_keys()
         self._rng = random.Random(seed)
         self._t0 = 0.0
 
@@ -227,6 +240,8 @@ class ExecutionEngine:
         ``interrupted`` report once in-flight jobs settle.
         """
         self._t0 = time.monotonic()
+        if self.artifact_dir is not None:
+            ArtifactStore(self.artifact_dir).prune()  # no worker records yet
         report = SweepReport()
         prior: Dict[str, dict] = {}
         if resume and self.checkpoint is not None:
@@ -373,9 +388,12 @@ class ExecutionEngine:
             heartbeat = (
                 self.watchdog.interval if self.watchdog is not None else None
             )
+            job = entry.job
+            if job.artifact_dir is None and self.artifact_dir is not None:
+                job = dataclasses.replace(job, artifact_dir=self.artifact_dir)
             try:
                 handle = self.backend.submit(
-                    entry.job,
+                    job,
                     entry.attempt,
                     fault=worker_fault,
                     heartbeat=heartbeat,

@@ -49,7 +49,7 @@ IDENTITY_FIELDS = (
 #: against the cached result.  The identity regression test enforces
 #: that IDENTITY_FIELDS + NON_IDENTITY_FIELDS covers every Job field, so
 #: adding a field forces an explicit decision about which side it is on.
-NON_IDENTITY_FIELDS = ("telemetry_dir",)
+NON_IDENTITY_FIELDS = ("telemetry_dir", "artifact_dir")
 
 
 def canonical_config(config) -> object:
@@ -89,6 +89,10 @@ class Job:
     #: telemetry does not change the simulation, so a telemetry sweep can
     #: resume from a non-telemetry journal and vice versa.
     telemetry_dir: Optional[str] = None
+    #: the trace and profile store the worker reads and fills (None = run
+    #: live).  The engine sets it beside its journal; excluded from
+    #: :meth:`key` because a replayed run is bit-identical to a live one.
+    artifact_dir: Optional[str] = None
 
     @property
     def label(self) -> str:

@@ -46,8 +46,11 @@ def default_worker(job: Job) -> Any:
     journal (one ``<benchmark>-<mechanism>-<input_set>.series.jsonl``
     per cell — the path is deterministic via
     :func:`repro.telemetry.series_path`, so exporters can recompute it).
+    With an ``artifact_dir``, the run shares traces and profiles through
+    that :class:`~repro.workloads.artifacts.ArtifactStore`.
     """
     from repro.experiments.runner import run_benchmark
+    from repro.workloads.artifacts import ArtifactStore
 
     if hasattr(job.config, "validate"):
         job.config.validate()
@@ -63,6 +66,7 @@ def default_worker(job: Job) -> Any:
         input_set=job.input_set,
         profile_input=job.profile_input,
         telemetry=telemetry,
+        store=ArtifactStore(job.artifact_dir) if job.artifact_dir else None,
     )
     if telemetry is not None:
         from pathlib import Path
@@ -167,7 +171,7 @@ def _send(conn, message, lock=None, stop_heartbeat=None) -> None:
 #     {"op": "ping", "id": N}
 #     {"op": "run",  "id": N, "job": <submission>, "worker": "mod:qual",
 #      "fault": <spec|null>, "heartbeat": <seconds|null>,
-#      "telemetry_dir": <dir|null>}
+#      "telemetry_dir": <dir|null>, "artifact_dir": <dir|null>}
 #     {"op": "shutdown", "id": N}
 #
 # and responses `{"id": N, "event": "pong"|"heartbeat"|"outcome"|...}`.
@@ -180,6 +184,11 @@ def _send(conn, message, lock=None, stop_heartbeat=None) -> None:
 
 def serve_stdio(stdin=None, stdout=None) -> int:
     """Serve jobs over stdin/stdout until EOF or a shutdown request."""
+    from repro.workloads.artifacts import warm_keys
+
+    # key artifacts by the sources this process imported at startup, not
+    # by whatever is on disk when its first journaled job arrives
+    warm_keys()
     in_stream = stdin if stdin is not None else sys.stdin
     proto_out = stdout if stdout is not None else sys.stdout
     if stdout is None:
@@ -260,7 +269,9 @@ def _serve_one(request: Dict[str, Any], write_line, lock) -> None:
         from repro.service.protocol import job_from_submission
 
         job = job_from_submission(
-            request["job"], telemetry_dir=request.get("telemetry_dir")
+            request["job"],
+            telemetry_dir=request.get("telemetry_dir"),
+            artifact_dir=request.get("artifact_dir"),
         )
         worker = resolve_worker(request.get("worker"))
         fault = None

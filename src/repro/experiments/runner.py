@@ -7,7 +7,10 @@ measured input — and returns a :class:`~repro.core.stats.CoreResult`.
 
 Results are memoized per (benchmark, mechanism, input set, config) and
 profiles per (benchmark, input set, profiler shape), since the benchmark
-harness re-uses the same baselines across many figures.
+harness re-uses the same baselines across many figures.  Given an
+:class:`~repro.workloads.artifacts.ArtifactStore`, traces and profiles
+are also shared across processes: a stored trace replays exactly, and a
+stored profile is read instead of recomputed.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.prefetch.stride import NextLinePrefetcher, StridePrefetcher
 from repro.policy.registry import controller_for
 from repro.throttle.fdp import FdpThrottle
 from repro.throttle.gendler import GendlerSelector
+from repro.workloads.artifacts import ArtifactStore
 from repro.workloads.base import WorkloadInstance
 from repro.workloads.registry import get_workload
 
@@ -154,24 +158,45 @@ def profiler_config(config: SystemConfig) -> ProfilerConfig:
     )
 
 
+def workload_instance(
+    benchmark: str,
+    input_set: str,
+    store: Optional[ArtifactStore] = None,
+    record: bool = True,
+) -> WorkloadInstance:
+    """A built workload: replayed from *store* when it holds the trace,
+    else live (and, with *record*, recorded into the store)."""
+    if store is None:
+        return get_workload(benchmark).build(input_set)
+    return store.instance(benchmark, input_set, record)
+
+
 def profile_benchmark(
     benchmark: str,
     config: SystemConfig,
     input_set: str = "train",
+    store: Optional[ArtifactStore] = None,
 ):
     """Run the profiling compiler pass; returns a PointerGroupProfile.
 
     Memoized by what the profiler reads, not by the whole config: cells
     that differ only in engine, DRAM timing or throttling policy share
-    one profile.
+    one profile.  With a *store*, a stored profile is read instead of
+    recomputed, and a computed one is stored (its trace is not).
     """
     shape = profiler_config(config)
     key = (benchmark, input_set, shape)
     cached = _PROFILE_CACHE.get(key)
     if cached is not None:
         return cached
-    instance = get_workload(benchmark).build(input_set)
-    profile = profile_trace(instance.memory, instance.trace(), shape)
+    profile = (
+        store.load_profile(benchmark, input_set, shape) if store else None
+    )
+    if profile is None:
+        instance = workload_instance(benchmark, input_set, store, record=False)
+        profile = profile_trace(instance.memory, instance.trace(), shape)
+        if store is not None:
+            store.save_profile(benchmark, input_set, shape, profile)
     _PROFILE_CACHE.put(key, profile)
     return profile
 
@@ -181,11 +206,12 @@ def hint_filter_for(
     benchmark: str,
     config: SystemConfig,
     profile_input: str = "train",
+    store: Optional[ArtifactStore] = None,
 ) -> Optional[Callable[[int, int], bool]]:
     """Build the CDP hint filter the mechanism calls for (None = greedy)."""
     if mechanism.hints == "none":
         return None
-    profile = profile_benchmark(benchmark, config, profile_input)
+    profile = profile_benchmark(benchmark, config, profile_input, store)
     if mechanism.hints == "ecdp":
         return HintTable.from_profile(profile).allows
     if mechanism.hints in ("grp", "loadfilter"):
@@ -324,12 +350,16 @@ def run_benchmark(
     profile_input: str = "train",
     use_cache: bool = True,
     telemetry=None,
+    store: Optional[ArtifactStore] = None,
 ) -> CoreResult:
     """Run one benchmark under one mechanism on a single core.
 
     With a :class:`repro.telemetry.Telemetry` session, the run records
     into the session's ``core0`` stream, and the result cache is
-    bypassed (a memoized result would carry no recordings).
+    bypassed (a memoized result would carry no recordings).  With an
+    :class:`~repro.workloads.artifacts.ArtifactStore`, the trace and the
+    profile come from the store when it holds them and go into it when
+    it does not; the result is identical either way.
     """
     config = config or SystemConfig.scaled()
     mech = get_mechanism(mechanism)
@@ -340,8 +370,8 @@ def run_benchmark(
         cached = _RESULT_CACHE.get(key)
         if cached is not None:
             return cached
-    hint_filter = hint_filter_for(mech, benchmark, config, profile_input)
-    instance = get_workload(benchmark).build(input_set)
+    hint_filter = hint_filter_for(mech, benchmark, config, profile_input, store)
+    instance = workload_instance(benchmark, input_set, store)
     dram = make_dram(config, n_cores=1)
     stream_telemetry = (
         telemetry.stream("core0") if telemetry is not None else None

@@ -11,7 +11,7 @@ high-order bits with any heap block address).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.memory.address import ADDRESS_MASK, WORD_SIZE, validate_address
 
@@ -53,6 +53,15 @@ class SimulatedMemory:
             words.get(addr, 0)
             for addr in range(block_addr, block_addr + block_size, WORD_SIZE)
         ]
+
+    def update_words(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Write many (word address, value) pairs, in order.
+
+        The pairs must already be aligned and masked, as :meth:`iter_words`
+        yields them; this is how a recorded trace restores an image and
+        replays its writes.
+        """
+        self._words.update(pairs)
 
     def iter_words(self) -> Iterator[Tuple[int, int]]:
         """Iterate (word_address, value) pairs for all written words."""

@@ -57,16 +57,18 @@ def _required_name(payload: Dict[str, Any], field: str) -> str:
 
 
 def job_from_submission(
-    payload: Any, telemetry_dir: Optional[str] = None
+    payload: Any,
+    telemetry_dir: Optional[str] = None,
+    artifact_dir: Optional[str] = None,
 ) -> Job:
     """Normalize one wire submission to a content-hashed :class:`Job`.
 
     Raises :class:`~repro.errors.UsageError` (HTTP 400 on the server) for
     anything malformed: unknown fields, unknown preset, config overrides
     that are not SystemConfig knobs, or overrides that fail
-    ``SystemConfig.validate()``.  *telemetry_dir* is the server's choice,
-    not the submitter's — it is a non-identity field, so it never
-    affects the job key.
+    ``SystemConfig.validate()``.  *telemetry_dir* and *artifact_dir* are
+    the server's (or dispatcher's) choice, not the submitter's — both are
+    non-identity fields, so they never affect the job key.
     """
     if not isinstance(payload, dict):
         raise UsageError(
@@ -118,6 +120,7 @@ def job_from_submission(
         input_set=input_set,
         profile_input=profile_input,
         telemetry_dir=telemetry_dir,
+        artifact_dir=artifact_dir,
     )
 
 

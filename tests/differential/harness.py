@@ -19,6 +19,12 @@ in the same order, so any drift is a bug, not noise.
 driven through :class:`~repro.core.system.MultiCoreSystem` (the
 Figs 14/15 path): every core's statistics keyed ``core<i>.<field>``,
 plus the shared DRAM controller's counters.
+
+Both take an optional :class:`~repro.workloads.artifacts.ArtifactStore`
+(the cell then records its trace into the store, or replays it from
+there) and, with ``with_memory``, add each instance's final memory image
+to the snapshot (every word, in insertion order), so live and replayed
+runs can be compared down to the memory they leave behind.
 """
 
 from __future__ import annotations
@@ -29,8 +35,12 @@ from typing import Any, Dict, Optional, Sequence
 from repro.core.config import ENGINES, SystemConfig
 from repro.core.system import MultiCoreSystem
 from repro.experiments.configs import get_mechanism
-from repro.experiments.runner import build_core, hint_filter_for, make_dram
-from repro.workloads.registry import get_workload
+from repro.experiments.runner import (
+    build_core,
+    hint_filter_for,
+    make_dram,
+    workload_instance,
+)
 
 #: small L2 + short interval => tens of feedback intervals on the test
 #: input, so trajectory comparisons are never vacuous
@@ -46,6 +56,8 @@ def capture(
     input_set: str = "test",
     profile_input: str = "train",
     telemetry=None,
+    store=None,
+    with_memory: bool = False,
 ) -> Dict[str, Any]:
     """Run one cell under ``config.engine`` and snapshot every statistic.
 
@@ -55,13 +67,16 @@ def capture(
     must be bit-identical — recording must never perturb simulation).
     """
     mech = get_mechanism(mechanism)
-    hint_filter = hint_filter_for(mech, benchmark, config, profile_input)
-    instance = get_workload(benchmark).build(input_set)
+    hint_filter = hint_filter_for(mech, benchmark, config, profile_input, store)
+    instance = workload_instance(benchmark, input_set, store)
     dram = make_dram(config, n_cores=1)
     core = build_core(mech, config, instance, dram, hint_filter,
                       telemetry=telemetry)
     result = core.run(instance.trace())
-    return {**_core_snapshot(core, result), "dram": dram.stats}
+    snapshot = {**_core_snapshot(core, result), "dram": dram.stats}
+    if with_memory:
+        snapshot["memory"] = list(instance.memory.iter_words())
+    return snapshot
 
 
 def capture_multicore(
@@ -71,6 +86,8 @@ def capture_multicore(
     input_set: str = "test",
     profile_input: str = "train",
     telemetry=None,
+    store=None,
+    with_memory: bool = False,
 ) -> Dict[str, Any]:
     """Run one mix through ``MultiCoreSystem`` under ``config.engine``,
     wired exactly as :func:`repro.experiments.runner.run_multicore`.
@@ -82,19 +99,25 @@ def capture_multicore(
     dram = make_dram(config, n_cores=len(benchmarks))
     cores = []
     traces = []
+    instances = []
     for index, benchmark in enumerate(benchmarks):
-        hint_filter = hint_filter_for(mech, benchmark, config, profile_input)
-        instance = get_workload(benchmark).build(input_set)
+        hint_filter = hint_filter_for(
+            mech, benchmark, config, profile_input, store
+        )
+        instance = workload_instance(benchmark, input_set, store)
         name = f"core{index}"
         stream = telemetry.stream(name) if telemetry is not None else None
         cores.append(build_core(mech, config, instance, dram, hint_filter,
                                 name=name, telemetry=stream))
         traces.append(instance.trace())
+        instances.append(instance)
     results = MultiCoreSystem(cores).run(traces)
     snapshot: Dict[str, Any] = {"dram": dram.stats}
-    for core, result in zip(cores, results):
+    for core, result, instance in zip(cores, results, instances):
         for key, value in _core_snapshot(core, result).items():
             snapshot[f"{core.name}.{key}"] = value
+        if with_memory:
+            snapshot[f"{core.name}.memory"] = list(instance.memory.iter_words())
     return snapshot
 
 

@@ -159,6 +159,24 @@ class TestChaosFlags:
         assert "gmean" in capsys.readouterr().out
 
 
+class TestTraceCommand:
+    @pytest.mark.parametrize("flag", ["--out", "--series"])
+    def test_missing_output_directory_exits_two_before_simulating(
+        self, workdir, capsys, flag
+    ):
+        args = [
+            "trace", "mst", "baseline", "--input-set", "test",
+            "--out", "x.trace.json", "--series", "x.series.jsonl",
+        ]
+        args[args.index(flag) + 1] = "nodir/x.json"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and "nodir" in err
+        assert "Traceback" not in err
+        assert list(workdir.iterdir()) == []  # nothing written first
+
+
 class TestJournalCommands:
     def run_sweep(self, workdir):
         assert main(SWEEP_ARGS + ["--sweep-name", "j"]) == 0

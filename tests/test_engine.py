@@ -18,7 +18,6 @@ from repro.errors import (
     ConfigError,
     JobTimeoutError,
     ReproError,
-    TraceFormatError,
     TransientError,
     UnknownNameError,
     WorkerCrashError,
@@ -294,14 +293,12 @@ class TestErrorTaxonomy:
         for error_type in (
             ConfigError,
             JobTimeoutError,
-            TraceFormatError,
             TransientError,
             UnknownNameError,
             WorkerCrashError,
         ):
             assert issubclass(error_type, ReproError)
         assert issubclass(UnknownNameError, KeyError)
-        assert issubclass(TraceFormatError, ValueError)
 
     def test_exit_codes(self):
         assert ConfigError("x").exit_code == 2
@@ -314,7 +311,6 @@ class TestErrorTaxonomy:
         assert is_transient(OSError("disk glitch"))
         assert is_transient(TransientError("flaky"))
         assert not is_transient(ConfigError("bad"))
-        assert not is_transient(TraceFormatError("corrupt"))
         assert not is_transient(ValueError("logic bug"))
 
     def test_unknown_name_str_is_plain(self):

@@ -38,6 +38,7 @@ def base_job(**overrides) -> Job:
         input_set="ref",
         profile_input="train",
         telemetry_dir=None,
+        artifact_dir=None,
     )
     settings.update(overrides)
     return Job(**settings)
@@ -57,8 +58,9 @@ class TestFieldPartition:
 
     def test_excluded_fields_are_exactly_the_volatile_ones(self):
         # the full enumeration, so a reviewer sees the policy at a glance:
-        # where telemetry lands does not change what was simulated
-        assert NON_IDENTITY_FIELDS == ("telemetry_dir",)
+        # where telemetry lands, and whether the trace is replayed from
+        # the artifact store, do not change what was simulated
+        assert NON_IDENTITY_FIELDS == ("telemetry_dir", "artifact_dir")
 
     def test_identity_payload_covers_exactly_the_identity_fields(self):
         payload = identity_payload(base_job())
@@ -66,10 +68,11 @@ class TestFieldPartition:
 
     def test_non_identity_fields_never_reach_the_key(self):
         keys = {
-            base_job(telemetry_dir=where).key()
+            base_job(**{field: where}).key()
+            for field in NON_IDENTITY_FIELDS
             for where in (None, "/tmp/a", "/tmp/b", "relative/dir")
         }
-        assert len(keys) == 1
+        assert keys == {base_job().key()}
 
     @pytest.mark.parametrize(
         "change",
@@ -132,8 +135,10 @@ class TestNormalizationProperties:
         shuffled = {name: explicit[name] for name in order}
         assert job_from_submission(shuffled).key() == job.key()
 
-        # a different telemetry destination is a server-side detail
-        routed = job_from_submission(submission, telemetry_dir="/tmp/t")
+        # telemetry and artifact destinations are server-side details
+        routed = job_from_submission(
+            submission, telemetry_dir="/tmp/t", artifact_dir="/tmp/a"
+        )
         assert routed.key() == job.key()
 
         # the wire round-trip (full explicit config, scaled preset)
