@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -220,6 +221,31 @@ def _sweep_name(benchmarks, mechanisms, input_set: str, paper: bool) -> str:
     return "sweep-" + hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _engine_option_problems(args) -> dict:
+    """flag -> problem for the engine options sweep and serve share."""
+    problems = {}
+    if args.jobs < 1:
+        problems["--jobs"] = f"must be >= 1, got {args.jobs}"
+    for flag, seconds in (
+        ("--timeout", args.timeout),
+        ("--no-progress-timeout", args.no_progress_timeout),
+    ):
+        # NaN fails every comparison, so test for the good range
+        if seconds is not None and not 0 < seconds < math.inf:
+            problems[flag] = f"must be finite and positive, got {seconds}"
+    if args.retries < 0:
+        problems["--retries"] = f"must be >= 0, got {args.retries}"
+    if args.max_crashes < 0:
+        problems["--max-crashes"] = f"must be >= 0, got {args.max_crashes}"
+    return problems
+
+
+def _check_options(command: str, problems: dict) -> None:
+    if problems:
+        details = "; ".join(f"{k}: {v}" for k, v in sorted(problems.items()))
+        raise UsageError(f"invalid {command} options: {details}")
+
+
 def cmd_sweep(args) -> int:
     if args.smoke:
         # tiny end-to-end exercise of the engine (CI's 60-second budget)
@@ -227,22 +253,7 @@ def cmd_sweep(args) -> int:
         args.mechanisms = args.mechanisms or ["cdp"]
         args.input_set = "test"
         args.timeout = args.timeout or 50.0
-    problems = {}
-    if args.jobs < 1:
-        problems["--jobs"] = f"must be >= 1, got {args.jobs}"
-    if args.timeout is not None and args.timeout <= 0:
-        problems["--timeout"] = f"must be positive, got {args.timeout}"
-    if args.retries < 0:
-        problems["--retries"] = f"must be >= 0, got {args.retries}"
-    if args.no_progress_timeout is not None and args.no_progress_timeout <= 0:
-        problems["--no-progress-timeout"] = (
-            f"must be positive, got {args.no_progress_timeout}"
-        )
-    if args.max_crashes < 0:
-        problems["--max-crashes"] = f"must be >= 0, got {args.max_crashes}"
-    if problems:
-        details = "; ".join(f"{k}: {v}" for k, v in sorted(problems.items()))
-        raise UsageError(f"invalid sweep options: {details}")
+    _check_options("sweep", _engine_option_problems(args))
     config = _config(args)
     benchmarks = list(args.benchmarks or pointer_intensive_names())
     mechanisms = list(args.mechanisms or ["cdp", "ecdp", "ecdp+throttle"])
@@ -526,34 +537,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the simulation service until SIGTERM/SIGINT drains it."""
-    problems = {}
-    if args.jobs < 1:
-        problems["--jobs"] = f"must be >= 1, got {args.jobs}"
-    if args.timeout is not None and args.timeout <= 0:
-        problems["--timeout"] = f"must be positive, got {args.timeout}"
-    if args.retries < 0:
-        problems["--retries"] = f"must be >= 0, got {args.retries}"
-    if args.no_progress_timeout is not None and args.no_progress_timeout <= 0:
-        problems["--no-progress-timeout"] = (
-            f"must be positive, got {args.no_progress_timeout}"
-        )
-    if args.max_crashes < 0:
-        problems["--max-crashes"] = f"must be >= 0, got {args.max_crashes}"
+    problems = _engine_option_problems(args)
+    if not 0 <= args.port <= 65535:
+        problems["--port"] = f"must be in 0-65535, got {args.port}"
     if args.max_queue < 1:
         problems["--max-queue"] = f"must be >= 1, got {args.max_queue}"
     if args.max_client_pending < 1:
         problems["--max-client-pending"] = (
             f"must be >= 1, got {args.max_client_pending}"
         )
-    if args.batch_window < 0:
-        problems["--batch-window"] = (
-            f"must be >= 0, got {args.batch_window}"
-        )
-    if args.max_batch < 1:
-        problems["--max-batch"] = f"must be >= 1, got {args.max_batch}"
-    if problems:
-        details = "; ".join(f"{k}: {v}" for k, v in sorted(problems.items()))
-        raise UsageError(f"invalid serve options: {details}")
+    _check_options("serve", problems)
     # the store journal is never cleared: persistence across server
     # lives is the whole point of the content-addressed cache
     journal = CheckpointJournal.for_sweep(args.store, args.checkpoint_dir)
@@ -595,8 +588,6 @@ def cmd_serve(args) -> int:
         policy=ServicePolicy(
             max_queue=args.max_queue,
             max_pending_per_client=args.max_client_pending,
-            batch_window=args.batch_window,
-            max_batch=args.max_batch,
         ),
         host=args.host,
         port=args.port,
@@ -992,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="where the store journal lives (default "
                         ".repro-checkpoints/)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes per batch (default 1)")
+                   help="worker slots: jobs that run at once (default 1)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="wall-clock limit per job (default: none)")
     p.add_argument("--retries", type=int, default=2, metavar="N",
@@ -1011,12 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="pending jobs one client may have before 429 "
                         "(default 16)")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   metavar="SECONDS",
-                   help="how long to gather co-submitted jobs into one "
-                        "engine batch (default 0.05)")
-    p.add_argument("--max-batch", type=int, default=32, metavar="N",
-                   help="most jobs handed to one engine pass (default 32)")
     p.add_argument("--telemetry", action="store_true",
                    help="record per-interval series for executed cells "
                         "(served at GET /jobs/<key>/series) and dump the "

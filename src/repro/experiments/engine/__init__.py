@@ -22,7 +22,9 @@ this package executes that matrix the way a production sweep must run:
   catalog converges back to a bit-identical result set under
   ``--resume``;
 * a :class:`SweepReport` that downstream reporting renders with explicit
-  ``FAILED(reason)`` cells instead of crashing.
+  ``FAILED(reason)`` cells instead of crashing;
+* a :class:`JobFeed` for jobs that arrive while a pass runs, so a
+  long-lived service and a one-shot sweep share one scheduler loop.
 
 Quick tour::
 
@@ -55,6 +57,7 @@ from repro.experiments.engine.checkpoint import (
     record_content_hash,
 )
 from repro.experiments.engine.executor import ExecutionEngine, SweepReport
+from repro.experiments.engine.feed import JobFeed
 from repro.experiments.engine.faults import (
     BACKEND_FAULTS,
     FAULT_KINDS,
@@ -96,6 +99,7 @@ __all__ = [
     "IDENTITY_FIELDS",
     "Job",
     "JobFailure",
+    "JobFeed",
     "JobResult",
     "JournalSalvage",
     "NON_IDENTITY_FIELDS",

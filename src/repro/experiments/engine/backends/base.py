@@ -12,9 +12,9 @@ A backend implements five verbs:
 
 * :meth:`ExecutorBackend.submit` — start one attempt, return an
   :class:`AttemptHandle`;
-* :meth:`ExecutorBackend.poll` — wait up to a tick, return the handles
-  that produced an outcome message (updating heartbeat times on the
-  rest);
+* :meth:`ExecutorBackend.poll` — wait up to a tick (or until a job is
+  fed), return the handles that produced an outcome message (updating
+  heartbeat times on the rest);
 * :meth:`ExecutorBackend.cancel` — kill one attempt (watchdog/timeout
   enforcement, drain);
 * :meth:`ExecutorBackend.capacity` — how many attempts may be in flight
@@ -108,13 +108,19 @@ class ExecutorBackend:
         raise NotImplementedError
 
     def poll(
-        self, handles: Sequence[AttemptHandle], timeout: float
+        self,
+        handles: Sequence[AttemptHandle],
+        timeout: float,
+        wake: Optional[int] = None,
     ) -> List[Tuple[AttemptHandle, Outcome]]:
         """Wait up to *timeout* for activity; return settled attempts.
 
         Handles that only heartbeat get their ``last_beat`` refreshed and
         are not returned; a silently-dead worker is returned with a
-        synthesized ``WorkerCrashError`` outcome.
+        synthesized ``WorkerCrashError`` outcome.  *wake*, when given, is
+        one more descriptor to wait on (a job feed's self-pipe): the wait
+        also ends when it turns readable, so a job fed meanwhile
+        launches at once.
         """
         raise NotImplementedError
 

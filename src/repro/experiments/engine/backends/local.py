@@ -87,15 +87,19 @@ class LocalBackend(ExecutorBackend):
         )
 
     def poll(
-        self, handles: Sequence[LocalHandle], timeout: float
+        self,
+        handles: Sequence[LocalHandle],
+        timeout: float,
+        wake: Optional[int] = None,
     ) -> List[Tuple[LocalHandle, Outcome]]:
-        if not handles:
-            if timeout > 0:
-                time.sleep(timeout)
-            return []
         waitables = [handle.conn for handle in handles]
         waitables += [handle.process.sentinel for handle in handles]
-        _wait_ready(waitables, timeout=max(0.0, timeout))
+        if wake is not None:
+            waitables.append(wake)
+        if waitables:
+            _wait_ready(waitables, timeout=max(0.0, timeout))
+        elif timeout > 0:
+            time.sleep(timeout)
         settled: List[Tuple[LocalHandle, Outcome]] = []
         for handle in handles:
             outcome = self._poll_one(handle)

@@ -278,22 +278,25 @@ class RemoteBackend(ExecutorBackend):
         return handle
 
     def poll(
-        self, handles: Sequence[StdioHandle], timeout: float
+        self,
+        handles: Sequence[StdioHandle],
+        timeout: float,
+        wake: Optional[int] = None,
     ) -> List[Tuple[StdioHandle, Outcome]]:
-        if not handles:
-            if timeout > 0:
-                time.sleep(timeout)
-            return []
         readable = [
             handle.session.fileno()
             for handle in handles
             if handle.session is not None and handle.session.alive
         ]
+        if wake is not None:
+            readable.append(wake)
         if readable and timeout > 0:
             try:
                 select.select(readable, [], [], timeout)
             except (OSError, ValueError):
                 pass  # a raced-dead fd; the per-handle scan sorts it out
+        elif not handles and timeout > 0:
+            time.sleep(timeout)
         settled: List[Tuple[StdioHandle, Outcome]] = []
         for handle in handles:
             outcome = self._poll_one(handle)

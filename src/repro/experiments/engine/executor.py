@@ -34,6 +34,11 @@ identity is content-hashed, one journal can be shared by any mix of
 backends across any number of resumes.  A failed journal write (disk
 full) degrades to a warning, never an aborted sweep.
 
+Jobs reach a pass as a list, or through a :class:`~repro.experiments.
+engine.feed.JobFeed` that other threads fill while it runs (the job
+service's one long-lived pass); a list is a feed closed before the pass
+starts, so both run the same scheduler loop.
+
 The executor is also the chaos harness: a
 :class:`~repro.experiments.engine.faults.FaultPlan` injects worker,
 journal, *and backend* faults at deterministic (job, attempt)
@@ -50,7 +55,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import CheckpointError, SweepInterrupted
 from repro.experiments.engine.backends import (
@@ -63,6 +68,7 @@ from repro.experiments.engine.checkpoint import (
     JournalSalvage,
 )
 from repro.experiments.engine.faults import FaultPlan, journal_mutator
+from repro.experiments.engine.feed import JobFeed
 from repro.experiments.engine.job import (
     Job,
     JobFailure,
@@ -167,6 +173,22 @@ class SweepReport:
         return {(r.job.benchmark, r.job.mechanism): r for r in self}
 
 
+@dataclass
+class _Pass:
+    """One :meth:`ExecutionEngine.run` call's scheduling state."""
+
+    report: SweepReport
+    progress: Optional[Callable[[JobResult], None]]
+    #: keep each outcome in the report; a pass over an open feed may
+    #: last a service's life, so it reports through ``progress`` alone
+    keep: bool
+    pending: "deque[_Attempt]" = field(default_factory=deque)
+    running: List[_Running] = field(default_factory=list)
+    #: keys admitted and not yet settled: a key fed again meanwhile is
+    #: the same job
+    inflight: Set[str] = field(default_factory=set)
+
+
 class ExecutionEngine:
     """Run a list of jobs to completion, whatever the jobs do."""
 
@@ -223,7 +245,7 @@ class ExecutionEngine:
 
     def run(
         self,
-        jobs: Iterable[Job],
+        jobs: Union[Iterable[Job], JobFeed],
         resume: bool = False,
         progress: Optional[Callable[[JobResult], None]] = None,
         drain: Optional[GracefulDrain] = None,
@@ -231,18 +253,30 @@ class ExecutionEngine:
     ) -> SweepReport:
         """Execute every job; never raises for anything a job did.
 
+        *jobs* is a list, or a :class:`~repro.experiments.engine.feed.
+        JobFeed` that other threads fill while the pass runs; a list is
+        a feed closed before the pass starts.  A pass over an open feed
+        runs until the feed closes and reports each outcome through
+        *progress* only, so however long it lives it keeps no settled
+        result.
+
         With ``resume=True`` and a checkpoint journal, jobs whose key has
         a successful journal record are replayed as resumed results and
         not re-executed; failed records are retried from scratch — except
         poisoned ones (quarantined worker-killers), which replay as
         failures unless ``retry_poisoned`` re-admits them with a fresh
-        crash budget.  A *drain* request stops launching and returns an
-        ``interrupted`` report once in-flight jobs settle.
+        crash budget.  A record fed with a job is replayed the same way.
+        A *drain* request stops launching and returns an ``interrupted``
+        report once in-flight jobs settle.
         """
+        feed = (
+            jobs if isinstance(jobs, JobFeed) else JobFeed(jobs, closed=True)
+        )
         self._t0 = time.monotonic()
         if self.artifact_dir is not None:
             ArtifactStore(self.artifact_dir).prune()  # no worker records yet
-        report = SweepReport()
+        state = _Pass(SweepReport(), progress, keep=feed.closed)
+        report = state.report
         prior: Dict[str, dict] = {}
         if resume and self.checkpoint is not None:
             prior, report.salvage = self.checkpoint.load_with_stats()
@@ -256,41 +290,59 @@ class ExecutionEngine:
                         "crc_mismatch": report.salvage.crc_mismatch,
                     },
                 )
-        pending: "deque[_Attempt]" = deque()
-        seen = set()
-        now = time.monotonic()
-        for job in jobs:
-            key = job.key()
-            if key in seen:
-                continue  # the same cell submitted twice is one job
-            seen.add(key)
-            report.order.append(key)
-            record = prior.get(key)
-            outcome = self._replay(job, record, retry_poisoned)
-            if outcome is not None:
-                report.results[key] = outcome
-                if progress is not None:
-                    progress(outcome)
-            else:
-                crashes = 0
-                if record is not None and not retry_poisoned:
-                    crashes = int(record.get("crashes", 0) or 0)
-                pending.append(_Attempt(job, crashes=crashes, enqueued=now))
-        running: List[_Running] = []
         try:
-            while pending or running:
+            while True:
+                fed, closed = feed.take()
+                for job, record in fed:
+                    self._admit(state, job, record, prior, retry_poisoned)
                 draining = drain is not None and drain.requested
+                if not (state.pending or state.running):
+                    if closed or draining:
+                        break
+                    feed.wait(_MAX_TICK)  # idle: block until fed
+                    continue
                 if not draining:
-                    self._launch(pending, running, report, progress)
-                elif not running:
+                    self._launch(state)
+                elif not state.running:
                     report.interrupted = True
-                    self._emit("drain", None, abandoned=len(pending))
+                    self._emit("drain", None, abandoned=len(state.pending))
                     break
-                self._reap(pending, running, report, progress)
+                self._reap(state, feed)
         finally:
-            for live in running:  # interrupted: leave no orphans behind
+            for live in state.running:  # interrupted: leave no orphans
                 self.backend.cancel(live.handle)
         return report
+
+    def _admit(
+        self,
+        state: _Pass,
+        job: Job,
+        record: Optional[dict],
+        prior: Dict[str, dict],
+        retry_poisoned: bool,
+    ) -> None:
+        """Queue one job, or settle it at once from its record."""
+        key = job.key()
+        if key in state.inflight or key in state.report.results:
+            return  # the same cell submitted twice is one job
+        if record is None:
+            record = prior.get(key)
+        if state.keep:
+            state.report.order.append(key)
+        outcome = self._replay(job, record, retry_poisoned)
+        if outcome is not None:
+            if state.keep:
+                state.report.results[key] = outcome
+            if state.progress is not None:
+                state.progress(outcome)
+            return
+        crashes = 0
+        if record is not None and not retry_poisoned:
+            crashes = int(record.get("crashes", 0) or 0)
+        state.inflight.add(key)
+        state.pending.append(
+            _Attempt(job, crashes=crashes, enqueued=time.monotonic())
+        )
 
     def _replay(
         self, job: Job, record: Optional[dict], retry_poisoned: bool
@@ -334,7 +386,8 @@ class ExecutionEngine:
 
     # -- scheduling --------------------------------------------------------
 
-    def _launch(self, pending, running, report, progress) -> None:
+    def _launch(self, state: _Pass) -> None:
+        pending, running = state.pending, state.running
         for _ in range(len(pending)):
             if len(running) >= self.backend.capacity():
                 return
@@ -380,9 +433,7 @@ class ExecutionEngine:
                     ),
                     duration=0.0,
                     host=None,
-                    pending=pending,
-                    report=report,
-                    progress=progress,
+                    state=state,
                 )
                 continue
             heartbeat = (
@@ -415,9 +466,7 @@ class ExecutionEngine:
                     ),
                     duration=0.0,
                     host=None,
-                    pending=pending,
-                    report=report,
-                    progress=progress,
+                    state=state,
                 )
                 continue
             self._emit(
@@ -434,17 +483,18 @@ class ExecutionEngine:
                 _Running(entry, handle, deadline, backend_fault)
             )
 
-    def _reap(self, pending, running, report, progress) -> None:
+    def _reap(self, state: _Pass, feed: JobFeed) -> None:
+        pending, running = state.pending, state.running
         if not running:
             if pending:
                 wake = min(entry.not_before for entry in pending)
                 delay = wake - time.monotonic()
                 if delay > 0:  # everything is backing off
-                    time.sleep(min(delay, _MAX_TICK))
+                    feed.wait(min(delay, _MAX_TICK))
                 elif self.backend.capacity() <= 0:
                     # nowhere to launch (every host lost): idle a tick
                     # while health cooldowns run down
-                    time.sleep(_MAX_TICK / 4)
+                    feed.wait(_MAX_TICK / 4)
             return
         settled: List[Tuple[_Running, tuple]] = []
         polling: List[_Running] = []
@@ -483,6 +533,7 @@ class ExecutionEngine:
         outcomes = self.backend.poll(
             [live.handle for live in polling],
             timeout=self._tick(pending, running) if not settled else 0.0,
+            wake=feed.fileno(),
         )
         for handle, outcome in outcomes:
             live = by_handle.pop(id(handle), None)
@@ -526,9 +577,7 @@ class ExecutionEngine:
                 outcome,
                 duration=duration,
                 host=live.handle.host,
-                pending=pending,
-                report=report,
-                progress=progress,
+                state=state,
             )
 
     def _overdue(self, live: _Running, now: float):
@@ -588,9 +637,7 @@ class ExecutionEngine:
 
     # -- outcome handling --------------------------------------------------
 
-    def _settle(
-        self, entry, outcome, duration, host, pending, report, progress
-    ) -> None:
+    def _settle(self, entry, outcome, duration, host, state: _Pass) -> None:
         kind, payload = outcome
         if kind == "ok":
             result = JobResult(
@@ -635,7 +682,7 @@ class ExecutionEngine:
                     error=failure.error_type,
                 )
                 now = time.monotonic()
-                pending.append(
+                state.pending.append(
                     _Attempt(
                         entry.job,
                         entry.attempt + 1,
@@ -654,10 +701,13 @@ class ExecutionEngine:
                 executor=self.backend.name, host=host,
                 queue_seconds=round(entry.queue_total, 6),
             )
-        report.results[entry.job.key()] = result
-        self._record(result, entry, report)
-        if progress is not None:
-            progress(result)
+        key = entry.job.key()
+        state.inflight.discard(key)
+        if state.keep:
+            state.report.results[key] = result
+        self._record(result, entry, state.report)
+        if state.progress is not None:
+            state.progress(result)
         if self.fault_plan is not None and self.fault_plan.abort_after(
             entry.job, entry.attempt
         ):

@@ -22,6 +22,7 @@ Two supervision concerns the plain timeout cannot express:
 
 from __future__ import annotations
 
+import math
 import signal
 import threading
 from dataclasses import dataclass
@@ -39,9 +40,10 @@ class WatchdogPolicy:
     heartbeat_interval: Optional[float] = None
 
     def __post_init__(self):
-        if self.no_progress_timeout <= 0:
+        # NaN fails every comparison, so test for the good range
+        if not 0 < self.no_progress_timeout < math.inf:
             raise ValueError(
-                "no_progress_timeout must be positive, got "
+                "no_progress_timeout must be finite and positive, got "
                 f"{self.no_progress_timeout}"
             )
 

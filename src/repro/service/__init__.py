@@ -10,11 +10,12 @@ design:
   checkpointed under, so an identical resubmission is served from the
   journal-backed :class:`ResultStore` with *zero* re-execution, and
   concurrent duplicates coalesce onto one in-flight run.
-* **Nothing new under the failure model** — requests batch into the
-  existing engine (retry, watchdog, quarantine, fault injection,
-  graceful drain all apply), and results settle through the same
-  CRC-framed journal, so a chaos-interrupted server resumes to the same
-  content hashes a direct-engine run would.
+* **Nothing new under the failure model** — requests feed one
+  long-lived pass of the existing engine as worker slots free (retry,
+  watchdog, quarantine, fault injection, graceful drain all apply), and
+  results settle through the same CRC-framed journal, so a
+  chaos-interrupted server resumes to the same content hashes a
+  direct-engine run would.
 * **Backpressure over buffering** — a bounded queue and per-client
   quotas turn overload into HTTP 429 (:class:`~repro.errors.
   ServiceBusyError` client-side), never an unbounded backlog.

@@ -14,12 +14,17 @@ Request lifecycle::
         │  key queued or running?     ──▶ 202 coalesce (one execution)
         │  client over quota / queue full ─▶ 429
         │  otherwise enqueue          ──▶ 202 {"status": "queued"}
+        │    (or "running": a free worker slot takes it at once)
 
-A batcher task gathers queued submissions for a short window and hands
-the whole batch to ``engine.run(..., resume=True)`` in a worker thread —
-so concurrent submissions share one engine pass, journal writes stay
-single-writer, and a record that reached the journal through any prior
-life of the server replays instead of re-executing.
+Dispatch is continuous.  At start the server opens one long-lived
+``engine.run(feed, ...)`` pass on a worker thread and keeps its own queue
+in front of it: whenever a worker slot is free it feeds the pass the
+oldest queued job (with the key's latest record, which the pass replays
+the way ``resume`` replays a journal record), and each outcome settles
+back on the event loop through the pass's ``progress`` callback.  A job
+that lands while others run starts as soon as a slot frees, journal
+writes stay single-writer, and a record that reached the journal
+through any prior life of the server is served instead of re-executing.
 
 Endpoints: ``POST /jobs``, ``GET /jobs``, ``GET /jobs/<key>``,
 ``GET /jobs/<key>/result``, ``GET /jobs/<key>/series``, ``GET /events``
@@ -28,16 +33,17 @@ as the sweep CLI's ``*-engine.events.jsonl``), ``GET /stats``,
 ``GET /healthz``.
 
 Shutdown is a drain, not a kill: ``begin_drain()`` rejects new
-submissions with 503 and requests the engine's
-:class:`~repro.experiments.engine.GracefulDrain`; in-flight jobs settle
-to the journal before the loop exits, so a restarted server serves them
-from the store.
+submissions with 503, requests the engine's
+:class:`~repro.experiments.engine.GracefulDrain` and closes the feed;
+in-flight jobs settle to the journal before the pass returns, so a
+restarted server serves them from the store.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
+import functools
 import json
 import threading
 import time
@@ -51,9 +57,9 @@ from repro.errors import (
     SweepInterrupted,
     UsageError,
 )
-from repro.experiments.engine import GracefulDrain, journal_record
-from repro.experiments.engine.executor import ExecutionEngine, SweepReport
-from repro.experiments.engine.job import Job
+from repro.experiments.engine import GracefulDrain, JobFeed
+from repro.experiments.engine.executor import ExecutionEngine
+from repro.experiments.engine.job import Job, JobResult
 from repro.service.protocol import job_from_submission
 from repro.service.store import ResultStore
 
@@ -73,19 +79,18 @@ _REASONS = {
 #: statuses a job entry can report; "done"/"failed" are terminal
 PENDING_STATUSES = ("queued", "running")
 
+#: seconds a 429 response asks the client to wait before retrying
+RETRY_AFTER = 0.2
+
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Service-level limits: batching, backpressure, and quotas."""
+    """Service-level limits: backpressure and quotas."""
 
     #: queued (not yet running) jobs before submissions get 429
     max_queue: int = 64
     #: distinct pending jobs one client may have before 429
     max_pending_per_client: int = 16
-    #: seconds the batcher waits to gather co-submitted jobs
-    batch_window: float = 0.05
-    #: most jobs handed to one engine pass
-    max_batch: int = 32
     #: times an unsettled job re-enters the queue (engine abort faults)
     #: before the service fails it
     max_requeues: int = 3
@@ -111,10 +116,12 @@ class EngineEventLog:
         self._events: Deque[dict] = collections.deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._seq = 0
+        self._kinds: collections.Counter = collections.Counter()
 
     def emit(self, ts, kind, name, addr, dur, args) -> None:
         with self._lock:
             self._seq += 1
+            self._kinds[kind] += 1
             self._events.append(
                 {
                     "seq": self._seq,
@@ -132,6 +139,11 @@ class EngineEventLog:
     def appended(self) -> int:
         with self._lock:
             return self._seq
+
+    def count(self, kind: str) -> int:
+        """Events of *kind* emitted so far, the ring's evictions included."""
+        with self._lock:
+            return self._kinds[kind]
 
     def since(self, after: int) -> List[dict]:
         """Events with seq > *after* (oldest first)."""
@@ -155,6 +167,14 @@ class _TeeTracer:
                 sink.emit(*event)
             except Exception:
                 pass  # telemetry must never take down the service
+
+
+class _BadRequest(Exception):
+    """A request too malformed to dispatch, answered with *status*."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass
@@ -217,23 +237,27 @@ class SimulationServer:
         self._draining = False
         self._t0 = time.monotonic()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._batch_task: Optional[asyncio.Task] = None
-        self._work: Optional[asyncio.Event] = None
-        self._drained: Optional[asyncio.Event] = None
+        #: the engine pass (None between an aborted pass and the next)
+        self._pass: Optional[asyncio.Task] = None
+        self._feed: Optional[JobFeed] = None
+        #: entries fed to the pass and not yet settled, in feed order
+        self._fed: Dict[str, JobEntry] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and start the batcher task."""
-        self._work = asyncio.Event()
-        self._drained = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
+        """Bind the listening socket and start the engine pass."""
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port
+            )
+        except (OSError, OverflowError) as error:
+            reason = getattr(error, "strerror", None) or error
+            raise ServiceError(
+                f"cannot listen on {self.host}:{self.port}: {reason}"
+            ) from error
         self.port = self._server.sockets[0].getsockname()[1]
-        self._batch_task = asyncio.get_running_loop().create_task(
-            self._batch_loop()
-        )
+        self._start_pass()
         self._emit("serve-start", None, host=self.host, port=self.port)
 
     @property
@@ -250,24 +274,17 @@ class SimulationServer:
             return
         self._draining = True
         self._drain.request()
+        if self._feed is not None:
+            self._feed.close()
         self._emit(
-            "drain", None,
-            queued=self._queued_count,
-            running=sum(
-                1 for e in self._entries.values() if e.status == "running"
-            ),
+            "drain", None, queued=self._queued_count, running=len(self._fed)
         )
-        if self._work is not None:
-            self._work.set()
-        if self._drained is not None:
-            self._drained.set()
 
     async def shutdown(self) -> None:
-        """Drain, wait for the running batch, close the socket."""
+        """Drain, wait for the engine pass to return, close the socket."""
         await self.begin_drain()
-        if self._batch_task is not None:
-            await self._batch_task
-            self._batch_task = None
+        if self._pass is not None:
+            await self._pass
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -283,102 +300,84 @@ class SimulationServer:
         except OSError:
             pass  # an events dump is best-effort, like all telemetry
 
-    # -- batching ----------------------------------------------------------
+    # -- continuous dispatch -----------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        while not self._draining:
-            if not self._pending:
-                self._work.clear()
-                if self._draining:
-                    break
-                try:
-                    await asyncio.wait_for(self._work.wait(), timeout=0.5)
-                except (asyncio.TimeoutError, TimeoutError):
-                    pass
-                continue
-            # gather co-submitted work into one engine pass; a drain
-            # request cuts the window short so shutdown never waits it out
+    def _start_pass(self) -> None:
+        self._feed = JobFeed()
+        self._pass = asyncio.get_running_loop().create_task(
+            self._run_pass(self._feed)
+        )
+
+    async def _run_pass(self, feed: JobFeed) -> None:
+        """One engine pass on a worker thread, until drain or abort."""
+        loop = asyncio.get_running_loop()
+
+        def progress(outcome: JobResult) -> None:  # on the engine thread
+            loop.call_soon_threadsafe(self._settle_outcome, outcome)
+
+        with feed:
             try:
-                await asyncio.wait_for(
-                    self._drained.wait(), timeout=self.policy.batch_window
-                )
-            except (asyncio.TimeoutError, TimeoutError):
-                pass
-            batch: List[JobEntry] = []
-            while self._pending and len(batch) < self.policy.max_batch:
-                entry = self._entries[self._pending.popleft()]
-                if entry.status != "queued":
-                    continue
-                entry.status = "running"
-                self._queued_count -= 1
-                batch.append(entry)
-            if not batch:
-                continue
-            self.stats["batches"] += 1
-            self._emit("batch-start", None, jobs=len(batch))
-            loop = asyncio.get_running_loop()
-            report: Optional[SweepReport] = None
-            try:
-                report = await loop.run_in_executor(
-                    None, self._execute, [entry.job for entry in batch]
+                await loop.run_in_executor(
+                    None,
+                    functools.partial(
+                        self.engine.run,
+                        feed,
+                        progress=progress,
+                        drain=self._drain,
+                    ),
                 )
             except SweepInterrupted:
-                # an injected abort killed the scheduler mid-batch; the
-                # journal holds the completed prefix — settle from it
-                self.stats["batch_aborts"] += 1
+                # an injected abort ended the pass; every outcome it
+                # journaled has settled through progress already
+                self.stats["pass_aborts"] += 1
             except Exception as error:  # engine bug: fail soft, stay up
-                self.stats["batch_errors"] += 1
-                self._emit("batch-error", None, error=repr(error))
-            self._settle_batch(batch, report)
+                self.stats["pass_errors"] += 1
+                self._emit("pass-error", None, error=repr(error))
+        self._pass = self._feed = None
+        self._requeue_unsettled()
+        self._feed_slots()
 
-    def _execute(self, jobs: List[Job]) -> SweepReport:
-        """Run one batch in a worker thread (the loop stays responsive).
-
-        ``resume=True`` makes the engine replay any record already in
-        the journal — the second dedup layer, closing the race between a
-        submit-time cache check and a record that settled meanwhile.
-        """
-        return self.engine.run(jobs, resume=True, drain=self._drain)
-
-    def _settle_batch(
-        self, batch: List[JobEntry], report: Optional[SweepReport]
-    ) -> None:
-        if report is not None:
-            self.store.absorb(report)
-            self.stats["journal_errors"] += report.journal_errors
-        else:
-            # the engine raised: whatever it journaled first still counts
-            self.store.load()
-        for entry in batch:
-            outcome = (
-                report.results.get(entry.key) if report is not None else None
-            )
-            if outcome is not None:
-                record = journal_record(outcome)
-                if not outcome.resumed:
-                    self.stats["executed"] += 1
-                else:
-                    self.stats["resumed"] += 1
-                self._settle_entry(entry, record, cached=outcome.resumed)
+    def _feed_slots(self) -> None:
+        """Feed the pass the oldest queued jobs, one per free slot."""
+        while (
+            self._pending
+            and not self._draining
+            and len(self._fed) < self.engine.backend.slots
+        ):
+            entry = self._entries[self._pending.popleft()]
+            if entry.status != "queued":
                 continue
-            record = self.store.get(entry.key)
-            if record is not None:
-                self._settle_entry(entry, record, cached=True)
-                continue
-            # never settled: drained before launch, or aborted mid-batch
+            if self._pass is None:  # the last pass was aborted
+                self._start_pass()
+            entry.status = "running"
+            self._queued_count -= 1
+            self._fed[entry.key] = entry
+            self._feed.put(entry.job, self.store.get(entry.key))
+
+    def _settle_outcome(self, outcome: JobResult) -> None:
+        entry = self._fed.pop(outcome.job.key())
+        self.stats["resumed" if outcome.resumed else "executed"] += 1
+        self._settle_entry(
+            entry, self.store.absorb(outcome), cached=outcome.resumed
+        )
+        self._feed_slots()
+
+    def _requeue_unsettled(self) -> None:
+        """Requeue, abandon or fail what an ended pass left unsettled."""
+        unsettled = list(self._fed.values())
+        self._fed.clear()
+        requeued: List[str] = []
+        for entry in unsettled:
             entry.requeues += 1
-            if (
-                not self._draining
-                and entry.requeues <= self.policy.max_requeues
-            ):
+            if self._draining:
+                entry.status = "queued"  # abandoned; journal untouched
+            elif entry.requeues <= self.policy.max_requeues:
                 entry.status = "queued"
                 self._queued_count += 1
-                self._pending.appendleft(entry.key)
+                requeued.append(entry.key)
                 self._emit(
                     "requeue", entry.job.label, requeues=entry.requeues
                 )
-            elif self._draining:
-                entry.status = "queued"  # abandoned; journal untouched
             else:
                 self._settle_entry(
                     entry,
@@ -394,13 +393,14 @@ class SimulationServer:
                             "type": "ServiceError",
                             "message": (
                                 "job never settled after "
-                                f"{entry.requeues} batch attempt(s)"
+                                f"{entry.requeues} engine pass(es)"
                             ),
                             "transient": True,
                         },
                     },
                     cached=False,
                 )
+        self._pending.extendleft(reversed(requeued))
 
     def _settle_entry(
         self, entry: JobEntry, record: dict, cached: bool
@@ -472,7 +472,7 @@ class SimulationServer:
                     f"job queue is full ({self.policy.max_queue} queued); "
                     "retry after in-flight work settles"
                 ),
-                "retry_after": self.policy.batch_window * 4,
+                "retry_after": RETRY_AFTER,
             }
         if entry is None:
             entry = JobEntry(job, key)
@@ -489,7 +489,7 @@ class SimulationServer:
         self._queued_count += 1
         self.stats["accepted"] += 1
         self._emit("submit", job.label, key=key, client=client)
-        self._work.set()
+        self._feed_slots()
         return 202, self._entry_payload(entry)
 
     def _check_quota(
@@ -509,7 +509,7 @@ class SimulationServer:
                     f"{self.policy.max_pending_per_client}); wait for "
                     "results before submitting more"
                 ),
-                "retry_after": self.policy.batch_window * 4,
+                "retry_after": RETRY_AFTER,
             }
         return None
 
@@ -545,6 +545,11 @@ class SimulationServer:
                 asyncio.IncompleteReadError, ConnectionError, OSError
             ):
                 return
+            except _BadRequest as error:
+                await self._respond(
+                    writer, error.status, {"error": str(error)}
+                )
+                return
             if request is None:
                 return
             method, path, query, body, headers, peer = request
@@ -566,26 +571,33 @@ class SimulationServer:
                 pass
 
     async def _read_request(self, reader):
-        line = await reader.readline()
+        """The parsed request, None for a silent peer, or a _BadRequest."""
+        line = await self._read_line(reader)
         if not line:
             return None
         try:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:
-            return None
+            raise _BadRequest(400, "malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        declared = headers.get("content-length", "0") or "0"
         try:
-            length = int(headers.get("content-length", "0") or "0")
+            length = int(declared)
         except ValueError:
-            length = 0
+            length = -1
+        if length < 0:
+            raise _BadRequest(400, f"malformed Content-Length {declared!r}")
         if length > self.policy.max_body_bytes:
-            return ("_OVERSIZED", target, {}, b"", headers, None)
+            raise _BadRequest(
+                413,
+                f"request body exceeds {self.policy.max_body_bytes} bytes",
+            )
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
         query = {
@@ -593,6 +605,13 @@ class SimulationServer:
             for name, values in parse_qs(split.query).items()
         }
         return method.upper(), split.path, query, body, headers, None
+
+    @staticmethod
+    async def _read_line(reader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # the line outgrew the stream reader's limit
+            raise _BadRequest(400, "request or header line too long") from None
 
     async def _respond(self, writer, status: int, payload) -> None:
         if isinstance(payload, (bytes, bytearray)):
@@ -623,13 +642,6 @@ class SimulationServer:
     async def _dispatch(
         self, method, path, query, body, headers, peer
     ) -> Tuple[int, Any]:
-        if method == "_OVERSIZED":
-            return 413, {
-                "error": (
-                    f"request body exceeds "
-                    f"{self.policy.max_body_bytes} bytes"
-                )
-            }
         parts = [part for part in path.split("/") if part]
         if method == "POST" and parts == ["jobs"]:
             try:
@@ -651,11 +663,8 @@ class SimulationServer:
             stats = dict(self.stats)
             stats.update(
                 queued=self._queued_count,
-                running=sum(
-                    1
-                    for e in self._entries.values()
-                    if e.status == "running"
-                ),
+                running=len(self._fed),
+                journal_errors=self.events.count("journal-error"),
                 entries=len(self._entries),
                 store_records=len(self.store),
                 draining=self._draining,

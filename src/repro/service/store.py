@@ -4,7 +4,7 @@ The store is the service's cache layer: an in-memory map of job key →
 journal-shaped record, loaded from (and persisted through) the same
 CRC-framed JSONL journal the sweep engine checkpoints into.  The engine
 remains the single writer — every terminal outcome it journals is
-absorbed here from the batch report — so the durable file and the
+absorbed here as the engine reports it — so the durable file and the
 served cache cannot disagree about what a record *says*, only about
 whether a torn write made it durable (in which case the resume path
 re-runs that one cell, exactly as a direct-engine chaos run would).
@@ -31,7 +31,7 @@ from repro.experiments.engine.checkpoint import (
     journal_record,
     record_content_hash,
 )
-from repro.experiments.engine.executor import SweepReport
+from repro.experiments.engine.job import JobResult
 
 
 class ResultStore:
@@ -79,20 +79,19 @@ class ResultStore:
         error = record.get("error") or {}
         return bool(error.get("poison")) and not retry_poisoned
 
-    def absorb(self, report: SweepReport) -> int:
-        """Fold a batch report's terminal outcomes into the cache.
+    def absorb(self, outcome: JobResult) -> dict:
+        """Fold one settled outcome into the cache; returns its record.
 
-        The engine already journaled each outcome (modulo injected or
-        real write faults); absorbing from the report keeps the served
-        cache authoritative even when a journal write was lost — the
-        loss surfaces only on restart, as a re-execution.
+        The engine already journaled the outcome (modulo injected or
+        real write faults); absorbing it from the engine's progress
+        callback keeps the served cache authoritative even when a
+        journal write was lost — the loss surfaces only on restart, as a
+        re-execution.
         """
-        absorbed = 0
+        record = journal_record(outcome)
         with self._lock:
-            for outcome in report:
-                self._records[outcome.job.key()] = journal_record(outcome)
-                absorbed += 1
-        return absorbed
+            self._records[outcome.job.key()] = record
+        return record
 
     def content_hashes(self) -> Dict[str, str]:
         """key → content hash of its record (the chaos-equality surface)."""

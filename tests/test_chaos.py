@@ -17,6 +17,7 @@ round-trip fuzz of the CRC journal framing.
 """
 
 import json
+import math
 import os
 import signal
 import threading
@@ -178,6 +179,11 @@ class TestWatchdog:
         assert "retry" in kinds
         retried = next(a for k, _, a in events if k == "retry")
         assert retried["error"] == "WorkerStalledError"
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan"), math.inf])
+    def test_policy_needs_a_finite_positive_deadline(self, deadline):
+        with pytest.raises(ValueError):
+            WatchdogPolicy(no_progress_timeout=deadline)
 
 
 class TestQuarantine:

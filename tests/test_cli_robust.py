@@ -64,7 +64,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--jobs", "0"), ("--retries", "-1"), ("--timeout", "-5")],
+        [
+            ("--jobs", "0"),
+            ("--retries", "-1"),
+            ("--timeout", "-5"),
+            ("--timeout", "nan"),
+        ],
     )
     def test_invalid_sweep_options_exit_two(self, workdir, capsys, flag, value):
         assert main(SWEEP_ARGS + [flag, value]) == 2
@@ -143,7 +148,11 @@ class TestChaosFlags:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--no-progress-timeout", "0"), ("--max-crashes", "-1")],
+        [
+            ("--no-progress-timeout", "0"),
+            ("--no-progress-timeout", "nan"),
+            ("--max-crashes", "-1"),
+        ],
     )
     def test_invalid_supervision_options_exit_two(
         self, workdir, capsys, flag, value
@@ -157,6 +166,45 @@ class TestChaosFlags:
             "--retry-poisoned",
         ]) == 0
         assert "gmean" in capsys.readouterr().out
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--jobs", "0"),
+            ("--timeout", "0"),
+            ("--timeout", "nan"),
+            ("--timeout", "inf"),
+            ("--no-progress-timeout", "nan"),
+            ("--retries", "-1"),
+            ("--max-crashes", "-1"),
+            ("--max-queue", "0"),
+            ("--max-client-pending", "0"),
+            ("--port", "70000"),
+            ("--port", "-1"),
+        ],
+    )
+    def test_invalid_serve_options_exit_two(
+        self, workdir, capsys, flag, value
+    ):
+        assert main(["serve", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid serve options")
+        assert flag in err
+        assert len(err.splitlines()) == 1
+
+    def test_port_in_use_fails_in_one_line(self, workdir, capsys):
+        import socket
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            assert main(["serve", "--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}")
+        assert len(err.splitlines()) == 1
 
 
 class TestTraceCommand:

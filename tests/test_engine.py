@@ -9,7 +9,9 @@ process boundaries.
 
 import json
 import os
+import sys
 import tempfile
+import threading
 import time
 
 import pytest
@@ -29,10 +31,13 @@ from repro.experiments.engine import (
     FailedResult,
     Job,
     JobFailure,
+    JobFeed,
+    LocalBackend,
     RetryPolicy,
     is_failed,
     snapshot_metrics,
 )
+from repro.experiments.engine import executor as executor_module
 
 MARKER_ENV = "REPRO_TEST_MARKER_DIR"
 
@@ -247,6 +252,178 @@ class TestFailureShapes:
         report = engine.run([Job("b1", "mech"), Job("b1", "mech")])
         assert len(report.order) == 1
         assert _executions("b1") == 1
+
+
+def slow_worker(job):
+    """Sleeps 1.5 s on the "slow" benchmark, returns at once otherwise."""
+    _mark(job)
+    if job.benchmark == "slow":
+        time.sleep(1.5)
+    return {"ipc": 1.0, "bpki": 2.0}
+
+
+class CountingFeed(JobFeed):
+    """A feed that counts how often the pass looks into it."""
+
+    takes = 0
+
+    def take(self):
+        self.takes += 1
+        return super().take()
+
+
+class PassThread:
+    """``engine.run(feed)`` on a thread, outcomes timed as they settle."""
+
+    def __init__(self, engine, feed):
+        self.settled = []  # (label, monotonic time, resumed)
+        self.reports = []
+        self.thread = threading.Thread(
+            target=lambda: self.reports.append(
+                engine.run(feed, progress=self._progress)
+            )
+        )
+        self.thread.start()
+
+    def _progress(self, outcome):
+        self.settled.append(
+            (outcome.job.label, time.monotonic(), outcome.resumed)
+        )
+
+    def wait_for(self, label, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while not any(entry[0] == label for entry in self.settled):
+            assert time.monotonic() < deadline, f"{label} never settled"
+            time.sleep(0.01)
+
+    def join(self):
+        self.thread.join(30)
+        assert not self.thread.is_alive()
+        (report,) = self.reports
+        return report
+
+
+class TestJobFeed:
+    def test_job_fed_while_workers_run_launches_at_once(
+        self, tmp_path, marker_dir, monkeypatch
+    ):
+        # with a 30 s scheduler tick, only the feed's wake-up can launch
+        # the fast job before the slow one finishes
+        monkeypatch.setattr(executor_module, "_MAX_TICK", 30.0)
+        engine = make_engine(
+            tmp_path, jobs=2, timeout=None, checkpoint=None,
+            worker=slow_worker,
+        )
+        with JobFeed() as feed:
+            runner = PassThread(engine, feed)
+            feed.put(Job("slow", "mech"))
+            deadline = time.monotonic() + 10.0
+            while _executions("slow") == 0:
+                assert time.monotonic() < deadline, "slow job never ran"
+                time.sleep(0.01)
+            fed_at = time.monotonic()
+            feed.put(Job("fast", "mech"))
+            runner.wait_for("fast/mech")
+            feed.close()
+            report = runner.join()
+        labels = [label for label, _, _ in runner.settled]
+        assert labels == ["fast/mech", "slow/mech"]
+        assert runner.settled[0][1] - fed_at < 1.0
+        # a pass over an open feed keeps no settled result
+        assert report.results == {} and report.order == []
+        assert not report.interrupted
+
+    def test_idle_pass_blocks_until_fed(
+        self, tmp_path, marker_dir, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "_MAX_TICK", 30.0)
+        engine = make_engine(tmp_path, timeout=None, checkpoint=None)
+        with CountingFeed() as feed:
+            runner = PassThread(engine, feed)
+            time.sleep(0.5)  # idle: a spinning loop would take thousands
+            assert feed.takes <= 3
+            feed.put(Job("b1", "mech"))
+            runner.wait_for("b1/mech")
+            feed.close()
+            runner.join()
+        assert _executions("b1") == 1
+
+    def test_fed_record_settles_like_a_resumed_one(
+        self, tmp_path, marker_dir
+    ):
+        engine = make_engine(tmp_path, timeout=None, checkpoint=None)
+        record = {"status": "ok", "metrics": {"ipc": 1.5}, "attempts": 1}
+        with JobFeed() as feed:
+            runner = PassThread(engine, feed)
+            feed.put(Job("b1", "mech"), record)
+            runner.wait_for("b1/mech")
+            feed.close()
+            runner.join()
+        assert runner.settled[0][2] is True  # resumed, not executed
+        assert _executions("b1") == 0
+
+    def test_a_list_is_a_feed_closed_before_the_pass(
+        self, tmp_path, marker_dir
+    ):
+        engine = make_engine(tmp_path, checkpoint=None, timeout=None)
+        feed = JobFeed([Job("b1", "mech"), Job("b1", "mech")], closed=True)
+        assert feed.fileno() is None  # nothing can wake it: no pipe
+        report = engine.run(feed)
+        assert len(report.order) == 1 and len(report.ok) == 1
+        with pytest.raises(ValueError):
+            feed.put(Job("b2", "mech"))
+
+    def test_concurrent_puts_reach_the_taker_exactly_once(self):
+        # four putters against one taker, with thread switches forced
+        # every microsecond: a lost or doubled job breaks the count
+        jobs = [Job(f"b{i}", "mech") for i in range(800)]
+        taken = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with JobFeed() as feed:
+
+                def taker():
+                    while True:
+                        items, closed = feed.take()
+                        taken.extend(job for job, _ in items)
+                        if closed and not items:
+                            return
+                        feed.wait(0.05)
+
+                def putter(share):
+                    for job in share:
+                        feed.put(job)
+
+                consumer = threading.Thread(target=taker)
+                producers = [
+                    threading.Thread(target=putter, args=(jobs[i::4],))
+                    for i in range(4)
+                ]
+                consumer.start()
+                for thread in producers:
+                    thread.start()
+                for thread in producers:
+                    thread.join(30)
+                feed.close()
+                consumer.join(30)
+                assert not consumer.is_alive()
+                assert not any(thread.is_alive() for thread in producers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(job.benchmark for job in taken) == sorted(
+            job.benchmark for job in jobs
+        )
+
+    def test_poll_returns_when_the_feed_wakes(self):
+        backend = LocalBackend()
+        with JobFeed() as feed:
+            feed.put(Job("b1", "mech"))
+            started = time.monotonic()
+            assert backend.poll([], timeout=30.0, wake=feed.fileno()) == []
+            assert time.monotonic() - started < 5.0
+            assert len(feed.take()[0]) == 1
+        assert feed.fileno() is None  # released on exit
 
 
 class TestCheckpointJournal:

@@ -23,9 +23,15 @@ only side channel that survives the process boundary.
 """
 
 import functools
+import json
 import os
+import socket
 import tempfile
+import threading
 import time
+import urllib.error
+import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -85,8 +91,7 @@ class ServerUnderTest:
         )
         settings.update(engine_overrides)
         self.handle = start_server_thread(
-            ExecutionEngine(**settings),
-            policy=policy or ServicePolicy(batch_window=0.01),
+            ExecutionEngine(**settings), policy=policy
         )
         self.client = ServiceClient(self.handle.url, client_id="test")
 
@@ -95,6 +100,28 @@ class ServerUnderTest:
 
     def stop(self):
         self.handle.stop()
+
+
+def wait_for_status(client, key, status, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while client.status(key)["status"] != status:
+        assert time.monotonic() < deadline, f"{key} never became {status}"
+        time.sleep(0.01)
+
+
+def raw_exchange(url, request: bytes) -> bytes:
+    """Send *request* bytes as-is; everything the server answers."""
+    split = urlsplit(url)
+    with socket.create_connection(
+        (split.hostname, split.port), timeout=10.0
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 class TestEndToEnd:
@@ -178,13 +205,9 @@ class TestContentAddressedDedup:
             server.stop()
 
     def test_concurrent_duplicates_coalesce(self, tmp_path):
-        # a wide batch window + a slow worker keep the first submission
-        # pending long enough for the duplicate to land on it
-        server = ServerUnderTest(
-            tmp_path,
-            delay=0.2,
-            policy=ServicePolicy(batch_window=0.25),
-        )
+        # a slow worker keeps the first submission pending long enough
+        # for the duplicate to land on it
+        server = ServerUnderTest(tmp_path, delay=0.5)
         try:
             first = server.client.submit(ALPHA)
             second = server.client.submit(ALPHA)
@@ -221,39 +244,158 @@ class TestContentAddressedDedup:
         assert server.executions() == 1
 
 
+class TestContinuousDispatch:
+    def test_job_submitted_while_another_runs_starts_at_once(self, tmp_path):
+        # two slots and a slow worker: the second job takes the free slot
+        # while the first still runs, not after the first settles
+        server = ServerUnderTest(tmp_path, delay=1.0)
+        try:
+            first = server.client.submit(ALPHA)["key"]
+            wait_for_status(server.client, first, "running")
+            second = server.client.submit(BETA)["key"]
+            wait_for_status(server.client, second, "running")
+            assert server.client.status(first)["status"] == "running"
+            # the engine launched it too: its dispatch row comes before
+            # any settled row for the first job
+            deadline = time.monotonic() + 10.0
+            while True:
+                events = server.client.events()["events"]
+                rows = [(e["kind"], e["name"]) for e in events]
+                if ("dispatch", "beta/mech") in rows:
+                    break
+                assert time.monotonic() < deadline, rows
+                time.sleep(0.01)
+            assert ("settled", "alpha/mech") not in rows[
+                : rows.index(("dispatch", "beta/mech"))
+            ]
+            for key in (first, second):
+                assert server.client.wait(key, timeout=30.0)["status"] == (
+                    "done"
+                )
+            assert server.executions() == 2
+        finally:
+            server.stop()
+
+
+class TestEventStream:
+    def test_cursor_returns_only_newer_rows(self, tmp_path):
+        server = ServerUnderTest(tmp_path)
+        try:
+            first = server.client.events()
+            assert first["events"][0]["kind"] == "serve-start"
+            assert first["next"] == first["events"][-1]["seq"]
+            server.client.run(ALPHA, timeout=30.0)
+            later = server.client.events(after=first["next"])
+            seqs = [event["seq"] for event in later["events"]]
+            assert seqs and min(seqs) > first["next"]
+            assert later["next"] == seqs[-1]
+            kinds = [event["kind"] for event in later["events"]]
+            for kind in ("submit", "dispatch", "settled"):
+                assert kind in kinds
+            assert not [kind for kind in kinds if kind.startswith("batch")]
+            # nothing newer: an empty page that keeps the cursor
+            assert server.client.events(after=later["next"]) == {
+                "events": [], "next": later["next"],
+            }
+        finally:
+            server.stop()
+
+    def test_long_poll_returns_when_a_row_arrives(self, tmp_path):
+        server = ServerUnderTest(tmp_path)
+        try:
+            cursor = server.client.events()["next"]
+            submitter = ServiceClient(server.handle.url, client_id="later")
+            timer = threading.Timer(0.3, submitter.submit, args=(ALPHA,))
+            started = time.monotonic()
+            timer.start()
+            page = server.client.events(after=cursor, wait=20.0)
+            elapsed = time.monotonic() - started
+            timer.join()
+            assert page["events"][0]["kind"] == "submit"
+            assert 0.25 <= elapsed < 10.0
+        finally:
+            server.stop()
+
+    def test_long_poll_without_rows_returns_after_the_wait(self, tmp_path):
+        server = ServerUnderTest(tmp_path)
+        try:
+            cursor = server.client.events()["next"]
+            started = time.monotonic()
+            page = server.client.events(after=cursor, wait=0.5)
+            elapsed = time.monotonic() - started
+            assert page == {"events": [], "next": cursor}
+            assert 0.45 <= elapsed < 5.0
+        finally:
+            server.stop()
+
+    def test_non_numeric_parameters_are_400(self, tmp_path):
+        server = ServerUnderTest(tmp_path)
+        try:
+            for query in ("after=latest", "wait=soon"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(
+                        f"{server.handle.url}/events?{query}", timeout=10
+                    )
+                assert err.value.code == 400, query
+                assert "numeric" in json.loads(err.value.read())["error"]
+                err.value.close()
+        finally:
+            server.stop()
+
+
+class TestMalformedRequests:
+    def test_bad_framing_gets_400_and_the_server_stays_up(self, tmp_path):
+        server = ServerUnderTest(tmp_path)
+        oversized = b"a" * 70000  # past asyncio's 64 KB line limit
+        try:
+            for request in (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                b"GET /" + oversized + b" HTTP/1.1\r\n\r\n",
+                b"GET /stats HTTP/1.1\r\nX-Pad: " + oversized + b"\r\n\r\n",
+            ):
+                reply = raw_exchange(server.handle.url, request)
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
+                assert json.loads(body)["error"]
+            assert server.client.health()["status"] == "ok"
+        finally:
+            server.stop()
+
+
 class TestBackpressure:
     def test_queue_bound_rejects_with_429(self, tmp_path):
-        # batch window far longer than the test: submissions stay queued
+        # one slot, held by a slow job: the next submission stays queued
         server = ServerUnderTest(
-            tmp_path,
-            policy=ServicePolicy(max_queue=1, batch_window=30.0),
+            tmp_path, delay=1.0, jobs=1, policy=ServicePolicy(max_queue=1)
         )
         try:
-            server.client.submit(ALPHA)
+            assert server.client.submit(ALPHA)["status"] == "running"
+            assert server.client.submit(BETA)["status"] == "queued"
             with pytest.raises(ServiceBusyError) as err:
-                server.client.submit(BETA)
+                server.client.submit(GAMMA, busy_retry=False)
             assert err.value.status == 429
+            assert err.value.retry_after == pytest.approx(0.2)
             assert server.client.stats()["rejected_queue"] == 1
             # the duplicate of the queued job still coalesces: dedup
             # must not be defeated by a full queue
-            again = server.client.submit(ALPHA)
+            again = server.client.submit(BETA)
             assert again.get("coalesced") is True
         finally:
             server.stop()
 
     def test_per_client_quota_rejects_with_429(self, tmp_path):
+        # a slow worker keeps ana's first job pending for the whole test
         server = ServerUnderTest(
             tmp_path,
-            policy=ServicePolicy(
-                max_pending_per_client=1, max_queue=64, batch_window=30.0
-            ),
+            delay=1.0,
+            policy=ServicePolicy(max_pending_per_client=1, max_queue=64),
         )
         try:
             ana = ServiceClient(server.handle.url, client_id="ana")
             bob = ServiceClient(server.handle.url, client_id="bob")
             ana.submit(ALPHA)
             with pytest.raises(ServiceBusyError) as err:
-                ana.submit(BETA)
+                ana.submit(BETA, busy_retry=False)
             assert err.value.status == 429
             # quotas are per client: bob's budget is untouched
             assert bob.submit(BETA)["status"] in ("queued", "running")
@@ -313,10 +455,7 @@ class TestSweepClient:
     def test_run_jobs_rides_out_backpressure(self, tmp_path):
         # quota of one forces submit → collect → submit serialization
         server = ServerUnderTest(
-            tmp_path,
-            policy=ServicePolicy(
-                max_pending_per_client=1, batch_window=0.01
-            ),
+            tmp_path, policy=ServicePolicy(max_pending_per_client=1)
         )
         try:
             jobs = [job_from_submission(p) for p in (ALPHA, BETA, GAMMA)]

@@ -14,6 +14,7 @@ must converge to it bit-for-bit (volatile fields — attempts, duration,
 backoff — are excluded from the hash by construction).
 """
 
+import os
 import warnings
 
 import pytest
@@ -29,7 +30,6 @@ from repro.experiments.engine import (
 from repro.service import (
     ResultStore,
     ServiceClient,
-    ServicePolicy,
     job_from_submission,
     run_jobs,
     start_server_thread,
@@ -49,6 +49,13 @@ def service_worker(job):
         "ipc": 1.0 + len(job.benchmark) / 10.0,
         "bpki": float(sum(job.benchmark.encode())),
     }
+
+
+def beta_dies_worker(job):
+    """service_worker, except that beta's worker process always dies."""
+    if job.benchmark == "beta":
+        os._exit(17)
+    return service_worker(job)
 
 
 def submission_jobs():
@@ -79,10 +86,7 @@ def serve(tmp_path, fault_plan=None, **engine_overrides):
         fault_plan=fault_plan,
     )
     settings.update(engine_overrides)
-    handle = start_server_thread(
-        ExecutionEngine(**settings),
-        policy=ServicePolicy(batch_window=0.01),
-    )
+    handle = start_server_thread(ExecutionEngine(**settings))
     return handle, ServiceClient(handle.url, client_id="chaos"), journal_path
 
 
@@ -136,19 +140,41 @@ class TestWorkerFaultsThroughServer:
         finally:
             handle.stop()
 
+    def test_resubmitted_failure_carries_its_crash_count(self, tmp_path):
+        # beta kills its worker on every attempt of every submission; two
+        # attempts per submission and quarantine at three crashes, so the
+        # first submission fails after two crashes and only a
+        # resubmission that carries them over reaches the quarantine
+        handle, client, _journal_path = serve(
+            tmp_path,
+            worker=beta_dies_worker,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            quarantine=QuarantinePolicy(max_crashes=3),
+        )
+        try:
+            first = client.run(PAYLOADS[1], timeout=60.0)
+            assert first["error"]["type"] == "WorkerCrashError"
+            assert first["crashes"] == 2
+            second = client.run(PAYLOADS[1], timeout=60.0)
+            assert second["error"]["type"] == "PoisonJobError"
+            assert second["crashes"] == 3
+        finally:
+            handle.stop()
+
     def test_engine_abort_requeues_and_converges(
         self, tmp_path, direct_hashes
     ):
-        # an injected scheduler abort kills the batch mid-flight; the
-        # service settles the journaled prefix and requeues the rest —
-        # clients never observe the interruption, only a slower answer
+        # an injected scheduler abort ends the engine pass mid-flight;
+        # the service keeps what settled, requeues the rest and starts a
+        # new pass — clients never observe the interruption, only a
+        # slower answer
         plan = FaultPlan([FaultSpec("abort", job="beta")])
         handle, client, journal_path = serve(tmp_path, fault_plan=plan)
         try:
             report = run_jobs(client, submission_jobs(), timeout=60.0)
             assert report.exit_code == 0
             assert len(report.ok) == 3
-            assert client.stats()["batch_aborts"] == 1
+            assert client.stats()["pass_aborts"] == 1
         finally:
             handle.stop()
         assert journal_hashes(journal_path) == direct_hashes
@@ -159,7 +185,7 @@ class TestJournalFaultsThroughServer:
         self, tmp_path, direct_hashes
     ):
         # beta's journal record is torn mid-write.  This life, the store
-        # serves beta from the in-memory report; the damage surfaces
+        # serves beta from memory; the damage surfaces
         # only on restart, as one salvaged record and one re-execution.
         plan = FaultPlan([FaultSpec("torn-write", job="beta")])
         handle, client, journal_path = serve(tmp_path, fault_plan=plan)
