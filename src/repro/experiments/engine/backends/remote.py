@@ -260,6 +260,7 @@ class RemoteBackend(ExecutorBackend):
             "heartbeat": heartbeat,
             "telemetry_dir": job.telemetry_dir,
             "artifact_dir": job.artifact_dir,
+            "record_trace": job.record_trace,
         }
         try:
             transport.send(request)

@@ -53,7 +53,7 @@ import dataclasses
 import random
 import time
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -113,6 +113,8 @@ class _Running:
     deadline: Optional[float]
     #: a resolved backend fault to deliver on this attempt (chaos)
     backend_fault: object = None
+    #: the trace this attempt records into the artifact store, if any
+    records: Optional[Tuple[str, str]] = None
 
 
 @dataclass
@@ -187,6 +189,10 @@ class _Pass:
     #: keys admitted and not yet settled: a key fed again meanwhile is
     #: the same job
     inflight: Set[str] = field(default_factory=set)
+    #: executions admitted per (benchmark, input set) trace
+    traces: Counter = field(default_factory=Counter)
+    #: traces that an attempt in flight is recording
+    recording: Set[Tuple[str, str]] = field(default_factory=set)
 
 
 class ExecutionEngine:
@@ -340,6 +346,7 @@ class ExecutionEngine:
         if record is not None and not retry_poisoned:
             crashes = int(record.get("crashes", 0) or 0)
         state.inflight.add(key)
+        state.traces[job.benchmark, job.input_set] += 1
         state.pending.append(
             _Attempt(job, crashes=crashes, enqueued=time.monotonic())
         )
@@ -440,8 +447,20 @@ class ExecutionEngine:
                 self.watchdog.interval if self.watchdog is not None else None
             )
             job = entry.job
-            if job.artifact_dir is None and self.artifact_dir is not None:
-                job = dataclasses.replace(job, artifact_dir=self.artifact_dir)
+            artifact_dir = job.artifact_dir or self.artifact_dir
+            records = None
+            if artifact_dir is not None:
+                # record a trace only for another job of this pass to
+                # replay, one recording at a time: recording costs more
+                # than it saves on a trace that is met once
+                trace = (job.benchmark, job.input_set)
+                if state.traces[trace] > 1 and trace not in state.recording:
+                    records = trace
+                job = dataclasses.replace(
+                    job,
+                    artifact_dir=artifact_dir,
+                    record_trace=records is not None,
+                )
             try:
                 handle = self.backend.submit(
                     job,
@@ -479,8 +498,10 @@ class ExecutionEngine:
             deadline = (
                 handle.started + self.timeout if self.timeout else None
             )
+            if records is not None:
+                state.recording.add(records)
             running.append(
-                _Running(entry, handle, deadline, backend_fault)
+                _Running(entry, handle, deadline, backend_fault, records)
             )
 
     def _reap(self, state: _Pass, feed: JobFeed) -> None:
@@ -571,6 +592,8 @@ class ExecutionEngine:
             live for live in running if id(live) not in settled_set
         ]
         for live, outcome in settled:
+            if live.records is not None:
+                state.recording.discard(live.records)
             duration = time.monotonic() - (live.handle.started or now)
             self._settle(
                 live.entry,

@@ -49,7 +49,7 @@ IDENTITY_FIELDS = (
 #: against the cached result.  The identity regression test enforces
 #: that IDENTITY_FIELDS + NON_IDENTITY_FIELDS covers every Job field, so
 #: adding a field forces an explicit decision about which side it is on.
-NON_IDENTITY_FIELDS = ("telemetry_dir", "artifact_dir")
+NON_IDENTITY_FIELDS = ("telemetry_dir", "artifact_dir", "record_trace")
 
 
 def canonical_config(config) -> object:
@@ -93,6 +93,10 @@ class Job:
     #: live).  The engine sets it beside its journal; excluded from
     #: :meth:`key` because a replayed run is bit-identical to a live one.
     artifact_dir: Optional[str] = None
+    #: whether a worker that misses the trace in ``artifact_dir`` records
+    #: it.  Only the engine sets it, at dispatch, when another job of the
+    #: pass shares the trace; excluded from :meth:`key` like the store.
+    record_trace: bool = False
 
     @property
     def label(self) -> str:

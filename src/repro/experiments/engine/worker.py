@@ -47,7 +47,8 @@ def default_worker(job: Job) -> Any:
     per cell — the path is deterministic via
     :func:`repro.telemetry.series_path`, so exporters can recompute it).
     With an ``artifact_dir``, the run shares traces and profiles through
-    that :class:`~repro.workloads.artifacts.ArtifactStore`.
+    that :class:`~repro.workloads.artifacts.ArtifactStore`, and records a
+    trace it misses only when the job's ``record_trace`` says so.
     """
     from repro.experiments.runner import run_benchmark
     from repro.workloads.artifacts import ArtifactStore
@@ -66,7 +67,11 @@ def default_worker(job: Job) -> Any:
         input_set=job.input_set,
         profile_input=job.profile_input,
         telemetry=telemetry,
-        store=ArtifactStore(job.artifact_dir) if job.artifact_dir else None,
+        store=(
+            ArtifactStore(job.artifact_dir, record=job.record_trace)
+            if job.artifact_dir
+            else None
+        ),
     )
     if telemetry is not None:
         from pathlib import Path
@@ -171,7 +176,8 @@ def _send(conn, message, lock=None, stop_heartbeat=None) -> None:
 #     {"op": "ping", "id": N}
 #     {"op": "run",  "id": N, "job": <submission>, "worker": "mod:qual",
 #      "fault": <spec|null>, "heartbeat": <seconds|null>,
-#      "telemetry_dir": <dir|null>, "artifact_dir": <dir|null>}
+#      "telemetry_dir": <dir|null>, "artifact_dir": <dir|null>,
+#      "record_trace": <bool>}
 #     {"op": "shutdown", "id": N}
 #
 # and responses `{"id": N, "event": "pong"|"heartbeat"|"outcome"|...}`.
@@ -272,6 +278,7 @@ def _serve_one(request: Dict[str, Any], write_line, lock) -> None:
             request["job"],
             telemetry_dir=request.get("telemetry_dir"),
             artifact_dir=request.get("artifact_dir"),
+            record_trace=bool(request.get("record_trace")),
         )
         worker = resolve_worker(request.get("worker"))
         fault = None

@@ -165,7 +165,7 @@ def workload_instance(
     record: bool = True,
 ) -> WorkloadInstance:
     """A built workload: replayed from *store* when it holds the trace,
-    else live (and, with *record*, recorded into the store)."""
+    else live (and, with *record* and a recording store, recorded)."""
     if store is None:
         return get_workload(benchmark).build(input_set)
     return store.instance(benchmark, input_set, record)
@@ -359,7 +359,8 @@ def run_benchmark(
     bypassed (a memoized result would carry no recordings).  With an
     :class:`~repro.workloads.artifacts.ArtifactStore`, the trace and the
     profile come from the store when it holds them and go into it when
-    it does not; the result is identical either way.
+    it does not (the trace only if the store records); the result is
+    identical either way.
     """
     config = config or SystemConfig.scaled()
     mech = get_mechanism(mechanism)

@@ -1,8 +1,11 @@
 """Simulation-as-a-service: the sweep engine behind an HTTP front-end.
 
 A long-running server owns an execution engine and a checkpoint journal;
-clients submit jobs as JSON, get back content-hashed keys, and poll (or
-long-poll the event stream) for results.  Three properties define the
+clients submit jobs as JSON (``POST /jobs``), get back content-hashed
+keys, and long-poll ``GET /jobs/<key>?wait=S`` for results (or
+``GET /events?after=N&wait=S`` for the engine's event stream; the rest
+is ``GET /jobs``, ``/jobs/<key>/result``, ``/jobs/<key>/series``,
+``/stats`` and ``/healthz``).  Three properties define the
 design:
 
 * **Content-addressed dedup** — a submission normalizes to the same

@@ -2,11 +2,13 @@
 
 :class:`ServiceClient` is a thin, dependency-free wrapper over
 ``http.client`` — one connection per request, matching the server's
-``Connection: close`` discipline.  :func:`run_jobs` is the sweep-shaped
-entry point: it pushes a job list through a remote server and returns
-the same :class:`~repro.experiments.engine.SweepReport` a local
-``engine.run()`` would, so every downstream consumer (result tables,
-exporters, exit-code mapping) works unchanged with ``--server``.
+``Connection: close`` discipline.  Waiting on a job is a long-poll
+(``GET /jobs/<key>?wait=S``), so it costs about one request per job, not
+one per poll interval.  :func:`run_jobs` is the sweep-shaped entry
+point: it pushes a job list through a remote server and returns the same
+:class:`~repro.experiments.engine.SweepReport` a local ``engine.run()``
+would, so every downstream consumer (result tables, exporters, exit-code
+mapping) works unchanged with ``--server``.
 
 Backpressure is part of the protocol, not an error: a 429/503 surfaces
 as :class:`~repro.errors.ServiceBusyError` and ``run_jobs`` responds by
@@ -214,7 +216,11 @@ class ServiceClient:
             )
         return response
 
-    def status(self, key: str) -> Dict[str, Any]:
+    def status(self, key: str, wait: float = 0.0) -> Dict[str, Any]:
+        """The job's status payload; with *wait* > 0 the server may hold
+        the answer up to that many seconds for the job to settle."""
+        if wait > 0:
+            return self._request("GET", f"/jobs/{key}?wait={float(wait)}")
         return self._request("GET", f"/jobs/{key}")
 
     def result(self, key: str) -> Dict[str, Any]:
@@ -224,10 +230,17 @@ class ServiceClient:
     def wait(
         self, key: str, timeout: float = 600.0, poll: float = 0.05
     ) -> Dict[str, Any]:
-        """Poll ``/jobs/<key>`` until the job settles; returns the payload."""
+        """Long-poll ``/jobs/<key>`` until the job settles; returns the payload.
+
+        Each request asks the server to hold its answer (``?wait=``) for
+        half the socket timeout at most, so one request usually covers
+        the whole run; *poll* is the pause after an answer that is not
+        final, so a server that answers at once is polled instead.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            payload = self.status(key)
+            hold = min(self.timeout / 2, deadline - time.monotonic())
+            payload = self.status(key, wait=hold)
             if payload.get("status") in TERMINAL_STATUSES:
                 return payload
             if time.monotonic() >= deadline:

@@ -60,15 +60,17 @@ def job_from_submission(
     payload: Any,
     telemetry_dir: Optional[str] = None,
     artifact_dir: Optional[str] = None,
+    record_trace: bool = False,
 ) -> Job:
     """Normalize one wire submission to a content-hashed :class:`Job`.
 
     Raises :class:`~repro.errors.UsageError` (HTTP 400 on the server) for
     anything malformed: unknown fields, unknown preset, config overrides
     that are not SystemConfig knobs, or overrides that fail
-    ``SystemConfig.validate()``.  *telemetry_dir* and *artifact_dir* are
-    the server's (or dispatcher's) choice, not the submitter's — both are
-    non-identity fields, so they never affect the job key.
+    ``SystemConfig.validate()``.  *telemetry_dir*, *artifact_dir* and
+    *record_trace* are the server's (or dispatcher's) choice, not the
+    submitter's — all are non-identity fields, so they never affect the
+    job key.
     """
     if not isinstance(payload, dict):
         raise UsageError(
@@ -121,6 +123,7 @@ def job_from_submission(
         profile_input=profile_input,
         telemetry_dir=telemetry_dir,
         artifact_dir=artifact_dir,
+        record_trace=record_trace,
     )
 
 

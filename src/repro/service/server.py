@@ -26,17 +26,19 @@ that lands while others run starts as soon as a slot frees, journal
 writes stay single-writer, and a record that reached the journal
 through any prior life of the server is served instead of re-executing.
 
-Endpoints: ``POST /jobs``, ``GET /jobs``, ``GET /jobs/<key>``,
-``GET /jobs/<key>/result``, ``GET /jobs/<key>/series``, ``GET /events``
-(cursor + long-poll over the engine/service event stream, same row shape
-as the sweep CLI's ``*-engine.events.jsonl``), ``GET /stats``,
-``GET /healthz``.
+Endpoints: ``POST /jobs``, ``GET /jobs``, ``GET /jobs/<key>`` (with
+``?wait=S``, a long-poll: the answer waits up to S seconds for the job
+to settle), ``GET /jobs/<key>/result``, ``GET /jobs/<key>/series``,
+``GET /events`` (cursor + long-poll over the engine/service event
+stream, same row shape as the sweep CLI's ``*-engine.events.jsonl``),
+``GET /stats``, ``GET /healthz``.
 
 Shutdown is a drain, not a kill: ``begin_drain()`` rejects new
 submissions with 503, requests the engine's
-:class:`~repro.experiments.engine.GracefulDrain` and closes the feed;
-in-flight jobs settle to the journal before the pass returns, so a
-restarted server serves them from the store.
+:class:`~repro.experiments.engine.GracefulDrain`, closes the feed and
+answers every open long-poll with what it would return now; in-flight
+jobs settle to the journal before the pass returns, so a restarted
+server serves them from the store.
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ PENDING_STATUSES = ("queued", "running")
 #: seconds a 429 response asks the client to wait before retrying
 RETRY_AFTER = 0.2
 
+#: how often a GET /events long-poll looks for new rows (seconds); engine
+#: rows arrive from the engine's thread, which does not wake it
+_EVENT_POLL = 0.05
+
+#: the waiter topic of GET /events long-polls (job keys are hex)
+_EVENTS = "/events"
+
 
 @dataclass(frozen=True)
 class ServicePolicy:
@@ -96,7 +105,8 @@ class ServicePolicy:
     max_requeues: int = 3
     #: request body cap (bytes)
     max_body_bytes: int = 1 << 20
-    #: ceiling on the ?wait= long-poll of GET /events (seconds)
+    #: ceiling on the ?wait= long-polls of GET /events and
+    #: GET /jobs/<key> (seconds)
     max_event_wait: float = 30.0
     #: per-connection read deadline (seconds)
     request_timeout: float = 10.0
@@ -242,6 +252,10 @@ class SimulationServer:
         self._feed: Optional[JobFeed] = None
         #: entries fed to the pass and not yet settled, in feed order
         self._fed: Dict[str, JobEntry] = {}
+        #: open long-polls by topic (a job key, or _EVENTS)
+        self._waiters: Dict[str, Set[asyncio.Future]] = {}
+        #: connection handlers holding a request they have not answered
+        self._answering: Set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -279,6 +293,8 @@ class SimulationServer:
         self._emit(
             "drain", None, queued=self._queued_count, running=len(self._fed)
         )
+        for topic in list(self._waiters):
+            self._wake(topic)  # answer every long-poll with what is now
 
     async def shutdown(self) -> None:
         """Drain, wait for the engine pass to return, close the socket."""
@@ -287,6 +303,10 @@ class SimulationServer:
             await self._pass
         if self._server is not None:
             self._server.close()
+            if self._answering:  # let requests in hand get their answer
+                await asyncio.wait(
+                    set(self._answering), timeout=self.policy.request_timeout
+                )
             await self._server.wait_closed()
             self._server = None
         if self.events_path is not None:
@@ -412,6 +432,7 @@ class SimulationServer:
         for client in entry.clients:
             self._client_pending[client].discard(entry.key)
         entry.clients.clear()
+        self._wake(entry.key)
         self._emit(
             "settled", entry.job.label,
             key=entry.key, status=entry.status, cached=cached,
@@ -552,6 +573,9 @@ class SimulationServer:
                 return
             if request is None:
                 return
+            task = asyncio.current_task()
+            self._answering.add(task)
+            task.add_done_callback(self._answering.discard)
             method, path, query, body, headers, peer = request
             try:
                 status, payload = await self._dispatch(
@@ -690,35 +714,70 @@ class SimulationServer:
                 ]
             }
         if len(parts) >= 2 and parts[0] == "jobs":
-            return await self._get_job(parts[1], parts[2:])
+            return await self._get_job(parts[1], parts[2:], query)
         return 404, {"error": f"no such endpoint: {path}"}
+
+    def _wait_seconds(self, query) -> float:
+        """A long-poll's ``?wait=`` in seconds, capped (ValueError if bad)."""
+        wait = float(query.get("wait", "0"))
+        return max(0.0, min(wait, self.policy.max_event_wait))
+
+    async def _hold(self, topic: str, timeout: float) -> None:
+        """Sleep up to *timeout* seconds, or until *topic* is woken."""
+        waiter = asyncio.get_running_loop().create_future()
+        waiters = self._waiters.setdefault(topic, set())
+        waiters.add(waiter)
+        try:
+            await asyncio.wait_for(waiter, timeout)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            waiters.discard(waiter)
+            if not waiters and self._waiters.get(topic) is waiters:
+                del self._waiters[topic]
+
+    def _wake(self, topic: str) -> None:
+        for waiter in self._waiters.pop(topic, ()):
+            if not waiter.done():
+                waiter.set_result(None)
 
     async def _get_events(self, query) -> Tuple[int, Any]:
         try:
             after = int(query.get("after", "0"))
-            wait = min(
-                float(query.get("wait", "0")), self.policy.max_event_wait
-            )
+            wait = self._wait_seconds(query)
         except ValueError:
             return 400, {"error": "events cursor parameters must be numeric"}
-        deadline = time.monotonic() + max(0.0, wait)
+        deadline = time.monotonic() + wait
         while True:
             events = self.events.since(after)
-            if events or time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if events or remaining <= 0 or self._draining:
                 break
-            await asyncio.sleep(0.05)
+            await self._hold(_EVENTS, min(_EVENT_POLL, remaining))
         next_cursor = events[-1]["seq"] if events else after
         return 200, {"events": events, "next": next_cursor}
 
-    async def _get_job(self, key: str, rest: List[str]) -> Tuple[int, Any]:
+    async def _get_job(
+        self, key: str, rest: List[str], query
+    ) -> Tuple[int, Any]:
         entry = self._entries.get(key)
         record = entry.record if entry is not None else self.store.get(key)
         if entry is None and record is None:
             return 404, {"error": f"unknown job key {key!r}"}
         if not rest:
-            if entry is not None:
-                return 200, self._entry_payload(entry)
-            return 200, self._record_payload(key, record)
+            try:
+                wait = self._wait_seconds(query)
+            except ValueError:
+                return 400, {"error": "wait must be numeric (seconds)"}
+            if entry is None:
+                return 200, self._record_payload(key, record)
+            if (
+                wait > 0
+                and entry.status in PENDING_STATUSES
+                and not self._draining
+            ):
+                await self._hold(key, wait)  # woken when the entry settles
+            return 200, self._entry_payload(entry)
         if rest == ["result"]:
             if record is None:
                 return 409, {

@@ -4,7 +4,10 @@ A sweep meets one (benchmark, input set) trace under many mechanisms,
 and one ECDP profile in every hinted cell, yet each worker process used
 to build the workload, generate its trace and run the profiler again.
 An :class:`ArtifactStore` is a directory of content-addressed files that
-lets the first worker do that work and every later one reuse it.
+lets the first worker do that work and every later one reuse it.  A
+store records every trace it misses unless it is opened with
+``record=False``; the execution engine opens it so in a worker whose
+trace no other job of its pass shares (``Job.record_trace``).
 
 A trace artifact cannot be a bare list of ``MemOp``\\ s: generators write
 the simulated memory that CDP scans while they trace (omnetpp, bisort,
@@ -309,10 +312,16 @@ class _Recorder:
 
 
 class ArtifactStore:
-    """Trace and profile artifacts in one directory, keyed by content."""
+    """Trace and profile artifacts in one directory, keyed by content.
 
-    def __init__(self, directory):
+    The store replays every trace it holds.  With *record* False it also
+    records none: a worker whose trace no other job shares gains nothing
+    from paying for the recording.
+    """
+
+    def __init__(self, directory, record: bool = True):
         self.directory = Path(directory)
+        self.record = record
 
     def _path(self, benchmark: str, input_set: str, key: str, kind: str) -> Path:
         return self.directory / f"{benchmark}.{input_set}.{key[:16]}.{kind}"
@@ -348,8 +357,9 @@ class ArtifactStore:
     ) -> WorkloadInstance:
         """A replayed instance if the store holds the trace, else a live one.
 
-        Unless *record* is False, a live instance records its trace as it
-        is consumed and stores it once the trace is exhausted.
+        Unless *record* or the store's own ``record`` is False, a live
+        instance records its trace as it is consumed and stores it once
+        the trace is exhausted.
         """
         workload = get_workload(benchmark)
         key = trace_key(benchmark, input_set)
@@ -358,7 +368,7 @@ class ArtifactStore:
         if replayed is not None:
             return replayed
         live = workload.build(input_set)
-        if not record:
+        if not (record and self.record):
             return live
         header = {"key": key, "benchmark": benchmark, "input_set": input_set}
         return dataclasses.replace(

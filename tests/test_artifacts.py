@@ -11,6 +11,7 @@ the store beside a sweep's journal.
 import io
 import multiprocessing
 import os
+import tempfile
 
 import pytest
 
@@ -22,8 +23,13 @@ from repro.experiments.engine import (
     Job,
     snapshot_metrics,
 )
-from repro.experiments.engine.worker import serve_stdio
+from repro.experiments.engine.worker import default_worker, serve_stdio
 from repro.experiments.runner import clear_caches, run_benchmark
+from repro.service import (
+    ServiceClient,
+    start_server_thread,
+    submission_from_job,
+)
 from repro.workloads import artifacts
 from repro.workloads.artifacts import ArtifactStore
 from repro.workloads.base import Workload
@@ -43,6 +49,35 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(Workload, "build", counting)
     return built
+
+
+@pytest.fixture
+def recordings(monkeypatch, tmp_path):
+    """Benchmarks whose trace recording started since the fixture did.
+
+    Counted in marker files, so recordings in forked workers count too.
+    """
+    marks = tmp_path / "recordings"
+    marks.mkdir()
+    real = ArtifactStore._record
+
+    def counting(self, live, path, header):
+        fd, _ = tempfile.mkstemp(dir=marks, prefix=header["benchmark"] + ".")
+        os.close(fd)
+        return real(self, live, path, header)
+
+    monkeypatch.setattr(ArtifactStore, "_record", counting)
+    return lambda: sorted(name.split(".")[0] for name in os.listdir(marks))
+
+
+def counting_worker(builds):
+    """default_worker, plus the number of live builds its process made."""
+
+    def worker(job):
+        metrics = snapshot_metrics(default_worker(job))
+        return dict(metrics, builds=len(builds))
+
+    return worker
 
 
 def run(store=None, mechanism="cdp", benchmark="omnetpp"):
@@ -353,6 +388,85 @@ class TestEngineWiring:
                 input_set="test", use_cache=False,
             )
             assert snapshot_metrics(outcome.result) == snapshot_metrics(live)
+
+    def sweep(self, tmp_path, jobs, builds, slots=1):
+        """Run *jobs* journaled on *slots* forked workers."""
+        clear_caches()  # forked workers must not inherit a memoized result
+        engine = ExecutionEngine(
+            jobs=slots, checkpoint=CheckpointJournal(tmp_path / "s.jsonl"),
+            worker=counting_worker(builds),
+        )
+        try:
+            report = engine.run(jobs)
+        finally:
+            engine.close()
+        assert all(outcome.ok for outcome in report)
+        return list(report)
+
+    def test_one_job_sweep_records_no_trace(self, tmp_path, builds, recordings):
+        (outcome,) = self.sweep(
+            tmp_path, [Job("mst", "baseline", CONFIG, input_set="test")], builds
+        )
+        assert outcome.result["builds"] == 1
+        assert recordings() == []
+        assert trace_files(tmp_path / "s-artifacts") == []
+
+    def test_same_trace_jobs_on_one_slot_record_once_and_replay_twice(
+        self, tmp_path, builds, recordings
+    ):
+        jobs = [
+            Job("mst", mechanism, CONFIG, input_set="test")
+            for mechanism in ("baseline", "cdp", "dbp")
+        ]
+        report = self.sweep(tmp_path, jobs, builds)
+        assert [outcome.result["builds"] for outcome in report] == [1, 0, 0]
+        assert recordings() == ["mst"]
+        assert len(trace_files(tmp_path / "s-artifacts")) == 1
+        for outcome in report:
+            live = run(mechanism=outcome.job.mechanism, benchmark="mst")
+            assert outcome.result == dict(
+                snapshot_metrics(live), builds=outcome.result["builds"]
+            )
+
+    def test_same_trace_jobs_started_together_record_once(
+        self, tmp_path, builds, recordings
+    ):
+        jobs = [
+            Job("mst", mechanism, CONFIG, input_set="test")
+            for mechanism in ("baseline", "cdp")
+        ]
+        report = self.sweep(tmp_path, jobs, builds, slots=2)
+        assert [outcome.result["builds"] for outcome in report] == [1, 1]
+        assert recordings() == ["mst"]
+        assert len(trace_files(tmp_path / "s-artifacts")) == 1
+
+    def test_service_records_a_trace_once_it_is_shared(
+        self, tmp_path, builds, recordings
+    ):
+        clear_caches()
+        journal = CheckpointJournal(tmp_path / "svc.jsonl")
+        handle = start_server_thread(
+            ExecutionEngine(
+                jobs=1, checkpoint=journal, worker=counting_worker(builds)
+            )
+        )
+        client = ServiceClient(handle.url)
+        store = journal.artifact_dir
+        try:
+            def request(mechanism):
+                job = Job("mst", mechanism, CONFIG, input_set="test")
+                record = client.run(submission_from_job(job), timeout=60.0)
+                assert record["status"] == "ok"
+                return record["metrics"]["builds"]
+
+            assert request("baseline") == 1
+            assert trace_files(store) == []  # met once: not recorded
+            assert request("cdp") == 1
+            assert len(trace_files(store)) == 1  # met twice: recorded
+            assert request("dbp") == 0  # replayed
+        finally:
+            handle.stop()
+        assert recordings() == ["mst"]
 
     def test_unwritable_store_leaves_the_job_ok(self, tmp_path):
         blocker = tmp_path / "file"

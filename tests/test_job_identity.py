@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
+from repro.errors import UsageError
 from repro.experiments.engine import (
     IDENTITY_FIELDS,
     NON_IDENTITY_FIELDS,
@@ -39,6 +40,7 @@ def base_job(**overrides) -> Job:
         profile_input="train",
         telemetry_dir=None,
         artifact_dir=None,
+        record_trace=False,
     )
     settings.update(overrides)
     return Job(**settings)
@@ -59,8 +61,20 @@ class TestFieldPartition:
     def test_excluded_fields_are_exactly_the_volatile_ones(self):
         # the full enumeration, so a reviewer sees the policy at a glance:
         # where telemetry lands, and whether the trace is replayed from
-        # the artifact store, do not change what was simulated
-        assert NON_IDENTITY_FIELDS == ("telemetry_dir", "artifact_dir")
+        # (or recorded into) the artifact store, do not change what was
+        # simulated
+        assert NON_IDENTITY_FIELDS == (
+            "telemetry_dir", "artifact_dir", "record_trace"
+        )
+
+    def test_non_identity_fields_are_not_submission_fields(self):
+        # where a run's outputs go and whether it records its trace are
+        # the dispatcher's choice: a submission naming one is refused
+        for name in NON_IDENTITY_FIELDS:
+            with pytest.raises(UsageError):
+                job_from_submission(
+                    {"benchmark": "mst", "mechanism": "cdp", name: "/x"}
+                )
 
     def test_identity_payload_covers_exactly_the_identity_fields(self):
         payload = identity_payload(base_job())
@@ -135,9 +149,11 @@ class TestNormalizationProperties:
         shuffled = {name: explicit[name] for name in order}
         assert job_from_submission(shuffled).key() == job.key()
 
-        # telemetry and artifact destinations are server-side details
+        # telemetry and artifact destinations, and the recording
+        # decision, are server-side details
         routed = job_from_submission(
-            submission, telemetry_dir="/tmp/t", artifact_dir="/tmp/a"
+            submission, telemetry_dir="/tmp/t", artifact_dir="/tmp/a",
+            record_trace=True,
         )
         assert routed.key() == job.key()
 

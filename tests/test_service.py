@@ -23,6 +23,7 @@ only side channel that survives the process boundary.
 """
 
 import functools
+import http.server
 import json
 import os
 import socket
@@ -107,6 +108,39 @@ def wait_for_status(client, key, status, timeout=10.0):
     while client.status(key)["status"] != status:
         assert time.monotonic() < deadline, f"{key} never became {status}"
         time.sleep(0.01)
+
+
+def get_json(url):
+    """GET *url* with plain urllib: the endpoint as any HTTP client sees it."""
+    with urllib.request.urlopen(url, timeout=30) as response:
+        return json.loads(response.read())
+
+
+def wait_for_waiters(server, topic, count=1, timeout=10.0):
+    """Block until *count* long-polls are held on *topic*."""
+    waiters = server.handle.server._waiters
+    deadline = time.monotonic() + timeout
+    while len(waiters.get(topic, ())) < count:
+        assert time.monotonic() < deadline, f"no long-poll held on {topic}"
+        time.sleep(0.01)
+
+
+def in_thread(function, *args, **kwargs):
+    """Start *function* on a thread; returns (thread, outcome dict)."""
+    outcome = {}
+
+    def target():
+        started = time.monotonic()
+        try:
+            outcome["value"] = function(*args, **kwargs)
+        except Exception as error:  # surfaced by the test's assertions
+            outcome["error"] = error
+        outcome["at"] = time.monotonic()
+        outcome["elapsed"] = outcome["at"] - started
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    return thread, outcome
 
 
 def raw_exchange(url, request: bytes) -> bytes:
@@ -277,6 +311,118 @@ class TestContinuousDispatch:
             server.stop()
 
 
+class TestJobLongPoll:
+    def test_wait_returns_when_the_running_job_settles(self, tmp_path):
+        server = ServerUnderTest(tmp_path, delay=0.5)
+        try:
+            key = server.client.submit(ALPHA)["key"]
+            wait_for_status(server.client, key, "running")
+            started = time.monotonic()
+            payload = get_json(f"{server.handle.url}/jobs/{key}?wait=5")
+            elapsed = time.monotonic() - started
+            assert payload["status"] == "done"
+            assert payload["record"]["status"] == "ok"
+            assert elapsed < 2.5  # about the job's remaining 0.5 s
+            assert server.handle.server._waiters == {}
+        finally:
+            server.stop()
+
+    def test_wait_on_a_queued_job_times_out_and_leaves_no_waiter(
+        self, tmp_path
+    ):
+        # one slot, held by a slow job: the second job stays queued
+        server = ServerUnderTest(tmp_path, delay=2.0, jobs=1)
+        try:
+            assert server.client.submit(ALPHA)["status"] == "running"
+            key = server.client.submit(BETA)["key"]
+            started = time.monotonic()
+            payload = get_json(f"{server.handle.url}/jobs/{key}?wait=0.3")
+            elapsed = time.monotonic() - started
+            assert payload["status"] == "queued"
+            assert 0.25 <= elapsed < 1.9
+            assert server.handle.server._waiters == {}
+        finally:
+            server.stop()
+
+    def test_non_numeric_wait_is_400(self, tmp_path):
+        server = ServerUnderTest(tmp_path)
+        try:
+            key = server.client.submit(ALPHA)["key"]
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(
+                    f"{server.handle.url}/jobs/{key}?wait=soon", timeout=10
+                )
+            assert err.value.code == 400
+            assert "numeric" in json.loads(err.value.read())["error"]
+            err.value.close()
+        finally:
+            server.stop()
+
+    def test_coalesced_waiters_all_wake_on_one_settle(self, tmp_path):
+        server = ServerUnderTest(tmp_path, delay=1.0)
+        try:
+            key = server.client.submit(ALPHA)["key"]
+            other = ServiceClient(server.handle.url, client_id="other")
+            assert other.submit(ALPHA).get("coalesced") is True
+            polls = [
+                in_thread(get_json, f"{server.handle.url}/jobs/{key}?wait=10")
+                for _ in range(2)
+            ]
+            wait_for_waiters(server, key, count=2)  # both held, then woken
+            for thread, _ in polls:
+                thread.join(30)
+            for _, outcome in polls:
+                assert outcome["value"]["status"] == "done", outcome
+                assert outcome["elapsed"] < 5.0
+            assert server.executions() == 1
+        finally:
+            server.stop()
+
+    def test_client_wait_polls_a_server_that_ignores_wait(self):
+        paths = []
+
+        class AnswersAtOnce(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                paths.append(self.path)
+                payload = {"key": "k", "status": "running"}
+                if len(paths) == 3:
+                    payload = {
+                        "key": "k", "status": "done",
+                        "record": {"status": "ok"},
+                    }
+                body = json.dumps(payload).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        httpd = http.server.ThreadingHTTPServer(
+            ("127.0.0.1", 0), AnswersAtOnce
+        )
+        thread = threading.Thread(target=httpd.serve_forever)
+        thread.start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{httpd.server_address[1]}", timeout=4.0
+            )
+            started = time.monotonic()
+            payload = client.wait("k", timeout=30.0, poll=0.01)
+            elapsed = time.monotonic() - started
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join()
+        assert payload["status"] == "done"
+        assert len(paths) == 3 and elapsed < 1.5
+        for path in paths:  # each asks for a hold shorter than its timeout
+            route, _, query = path.partition("?wait=")
+            assert route == "/jobs/k" and 0 < float(query) < client.timeout
+
+
 class TestEventStream:
     def test_cursor_returns_only_newer_rows(self, tmp_path):
         server = ServerUnderTest(tmp_path)
@@ -424,6 +570,50 @@ class TestGracefulDrain:
         records = CheckpointJournal(server.journal_path).load()
         assert records[key]["status"] == "ok"
         assert server.executions() == 1
+
+    def test_drain_answers_open_job_long_polls(self, tmp_path):
+        # one slot: alpha runs for 2 s, beta waits queued behind it
+        server = ServerUnderTest(tmp_path, delay=2.0, jobs=1)
+        try:
+            running = server.client.submit(ALPHA)["key"]
+            queued = server.client.submit(BETA)["key"]
+            polls = {
+                key: in_thread(server.client.status, key, wait=20.0)
+                for key in (running, queued)
+            }
+            for key in polls:
+                wait_for_waiters(server, key)
+            drained = time.monotonic()
+            server.handle.begin_drain()
+            for thread, _ in polls.values():
+                thread.join(30)
+            # both answer at the drain, with what they hold now: the
+            # running job has not settled, the queued one is abandoned
+            answers = {key: outcome for key, (_, outcome) in polls.items()}
+            assert answers[running]["value"]["status"] == "running"
+            assert answers[queued]["value"]["status"] == "queued"
+            for outcome in answers.values():
+                assert outcome["at"] - drained < 1.5
+        finally:
+            server.stop()
+        records = CheckpointJournal(server.journal_path).load()
+        assert records[running]["status"] == "ok" and queued not in records
+
+    def test_drain_answers_open_event_long_polls(self, tmp_path):
+        server = ServerUnderTest(tmp_path)
+        try:
+            cursor = server.client.events()["next"]
+            thread, outcome = in_thread(
+                server.client.events, after=cursor, wait=20.0
+            )
+            wait_for_waiters(server, "/events")
+        finally:
+            server.stop()  # the SIGTERM path: drain, then shut down
+        thread.join(30)
+        assert "error" not in outcome, outcome
+        kinds = [event["kind"] for event in outcome["value"]["events"]]
+        assert kinds == ["drain"]
+        assert outcome["elapsed"] < 10.0
 
 
 class TestSweepClient:
