@@ -1,7 +1,6 @@
-"""Cache hierarchy: blocks, set-associative arrays, MSHRs."""
+"""Cache hierarchy: blocks and set-associative arrays."""
 
 from repro.cache.block import CacheBlock
-from repro.cache.mshr import MshrEntry, MshrFile
 from repro.cache.set_assoc import (
     CacheStats,
     FlatSetAssociativeCache,
@@ -12,7 +11,5 @@ __all__ = [
     "CacheBlock",
     "CacheStats",
     "FlatSetAssociativeCache",
-    "MshrEntry",
-    "MshrFile",
     "SetAssociativeCache",
 ]

@@ -45,14 +45,6 @@ class CacheStats:
     prefetch_fills: int = 0
     prefetch_hits: int = 0  # demand hits on prefetched blocks
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class SetAssociativeCache:
     """An LRU set-associative cache storing :class:`CacheBlock` entries.
@@ -333,13 +325,6 @@ class FlatSetAssociativeCache:
     def lru_order(self, set_index: int) -> List[int]:
         """Block addresses of one set, least-recently-used first."""
         return list(self._sets[set_index])
-
-    def resident_tags(self) -> List[int]:
-        """All resident block addresses (testing/diagnostics)."""
-        out: List[int] = []
-        for cache_set in self._sets:
-            out.extend(cache_set)
-        return out
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)

@@ -56,7 +56,6 @@ class Core:
         hw_filter: Optional[HardwarePrefetchFilter] = None,
         gendler: Optional[GendlerSelector] = None,
         oracle_pcs: Optional[Set[int]] = None,
-        value_observers: Sequence = (),
         telemetry=None,
     ) -> None:
         self.config = config
@@ -70,8 +69,6 @@ class Core:
         self.hw_filter = hw_filter
         self.gendler = gendler
         self.oracle_pcs = oracle_pcs or set()
-        #: prefetchers trained on retiring load values (pointer cache, AVD)
-        self.value_observers = list(value_observers)
         #: optional informing-load profiling hook (compiler.informing)
         self.pg_observer = None
 
@@ -417,24 +414,21 @@ class Core:
                     self._issue_prefetch(request, self.cycle)
 
     def _value_hooks(self, op: MemOp, completion: float) -> None:
-        """Value hooks: every retiring load exposes its loaded value to
-        the value-trained prefetchers (DBP producers, pointer cache, AVD).
+        """Value hook: every retiring load exposes its loaded value to
+        DBP, which trains its producer table on it.
 
         The value is only available when the load *completes*, so
-        producer-triggered prefetches (DBP) are issued at the completion
+        producer-triggered prefetches are issued at the completion
         time — this is precisely why DBP "cannot prefetch far ahead
         enough to cover modern memory latencies" (paper Section 6.3):
         its one-hop lookahead starts a full miss latency late."""
-        if self.dbp is None and not self.value_observers:
+        if self.dbp is None:
             return
         value = self.memory.read_word(op.addr)
-        if self.dbp is not None:
-            requests = self.dbp.on_load_value(completion, op.pc, value)
-            if requests and self._prefetcher_enabled(self.dbp.name):
-                for request in requests:
-                    self._issue_prefetch(request, completion)
-        for observer in self.value_observers:
-            observer.on_load_value(completion, op.pc, op.addr, value)
+        requests = self.dbp.on_load_value(completion, op.pc, value)
+        if requests and self._prefetcher_enabled(self.dbp.name):
+            for request in requests:
+                self._issue_prefetch(request, completion)
 
     def _issue_prefetch(
         self,

@@ -13,7 +13,9 @@ same feedback/throttling hooks — but restructured for speed:
   construction, no repeated ``block_address`` calls.  Single-core
   ``run`` drives it over the whole trace; ``MultiCoreSystem`` resumes
   it one slice at a time, so both paths share this one copy of the
-  L1 -> L2 -> DRAM walk;
+  L1 -> L2 -> DRAM walk.  Loads and stores take one L1-miss path with
+  one inlined L1 fill, testing ``is_load`` only where ``Core``'s load
+  and store paths differ;
 * per-op prefetcher observation dispatch is precomputed once
   (``_train_dispatch``) instead of re-resolving attribute chains per
   access;
@@ -25,7 +27,7 @@ PrefetcherResult statistic, throttle trajectory, and cache/DRAM counter;
 ``tests/differential/`` enforces this over a (workload x mechanism x
 throttling) matrix.  Any optimization that changes a number is a bug
 here, never a tolerable drift.  Cold paths (deferred CDP scans, prefetch
-issue, value hooks, result assembly) are inherited from ``Core``
+issue, the DBP value hook, result assembly) are inherited from ``Core``
 unchanged.
 
 Telemetry contract: the loop binds ``feedback.record_use`` /
@@ -77,9 +79,7 @@ class FastCore(Core):
         )
         #: skip the training call entirely when nothing is trained
         self._has_train = bool(self._train_dispatch)
-        self._has_value_hooks = self.dbp is not None or bool(
-            self.value_observers
-        )
+        self._has_value_hooks = self.dbp is not None
         self._cdp_name = self.cdp.name if self.cdp is not None else None
 
     def _make_cache(self, size_bytes: int, ways: int, name: str):
@@ -205,100 +205,27 @@ class FastCore(Core):
             tag = addr & tag_mask
             l1_set_index = (tag >> shift) & l1_set_mask
             l1_set = l1_sets[l1_set_index]
-
-            if not op.is_load:
-                # ---- store path (== Core._store) ------------------------
-                slot = l1_set.get(tag)
-                if slot is not None:
-                    l1_hits += 1
-                    l1_set[tag] = l1_set.pop(tag)  # LRU touch
-                    l1_dirty[slot] = 1
-                    continue
-                l1_misses += 1
-                l2_set = l2_sets[(tag >> shift) & l2_set_mask]
-                slot = l2_set.get(tag)
-                self.cycle = cycle
-                self.retired = retired
-                if slot is not None:
-                    l2_hits += 1
-                    l2_set[tag] = l2_set.pop(tag)
-                    owner = l2_owner[slot]
-                    if owner is not None:  # == CacheBlock.mark_used
-                        l2_owner[slot] = None
-                        record_use(owner, late=l2_fill[slot] > cycle)
-                        if gendler is not None:
-                            gendler.record_use(owner)
-                        if owner == cdp_name and pg_observer is not None:
-                            pg_observer.on_use(tag)
-                    # == Core._fill_l1 (dirty store fill)
-                    if len(l1_set) >= l1_ways:
-                        victim_tag = next(iter(l1_set))  # LRU victim
-                        slot = l1_set.pop(victim_tag)
-                        l1_evictions += 1
-                        if l1_dirty[slot]:
-                            victim_slot = l2_sets[
-                                (victim_tag >> shift) & l2_set_mask
-                            ].get(victim_tag)
-                            if victim_slot is not None:
-                                l2_dirty[victim_slot] = 1
-                            else:
-                                dram_writeback(cycle, victim_tag)
-                                self.bus_transfers += 1
-                    else:
-                        slot = l1_free[l1_set_index].pop()
-                    l1_fill[slot] = cycle
-                    l1_owner[slot] = None
-                    l1_dirty[slot] = 1
-                    l1_demand_pc[slot] = 0
-                    l1_set[tag] = slot
-                    if train_on_stores and has_train:
-                        fast_train(addr, op.pc, True)
-                    continue
-                l2_misses += 1
-                record_demand_miss(tag)
-                demand_access(cycle, tag)
-                self.bus_transfers += 1
-                fill_l2(tag, fill_time=cycle, demand_pc=op.pc)
-                # == Core._fill_l1 (dirty store fill)
-                if len(l1_set) >= l1_ways:
-                    victim_tag = next(iter(l1_set))  # LRU victim
-                    slot = l1_set.pop(victim_tag)
-                    l1_evictions += 1
-                    if l1_dirty[slot]:
-                        victim_slot = l2_sets[
-                            (victim_tag >> shift) & l2_set_mask
-                        ].get(victim_tag)
-                        if victim_slot is not None:
-                            l2_dirty[victim_slot] = 1
-                        else:
-                            dram_writeback(cycle, victim_tag)
-                            self.bus_transfers += 1
-                else:
-                    slot = l1_free[l1_set_index].pop()
-                l1_fill[slot] = cycle
-                l1_owner[slot] = None
-                l1_dirty[slot] = 1
-                l1_demand_pc[slot] = 0
-                l1_set[tag] = slot
-                if train_on_stores and has_train:
-                    fast_train(addr, op.pc, False)
-                continue
-
-            # ---- load path (== Core._load) ------------------------------
-            load_seq = seq
-            seq += 1
-            dep = op.dep
-            if dep < 0:
-                ready = cycle
-            else:  # == Core._ready_time
-                ready = completions.get(dep, 0.0)
-                if ready < cycle:
+            is_load = op.is_load
+            if is_load:
+                load_seq = seq
+                seq += 1
+                dep = op.dep
+                if dep < 0:
                     ready = cycle
+                else:  # == Core._ready_time
+                    ready = completions.get(dep, 0.0)
+                    if ready < cycle:
+                        ready = cycle
+            else:
+                ready = cycle
 
             slot = l1_set.get(tag)
             if slot is not None:
                 l1_hits += 1
-                l1_set[tag] = l1_set.pop(tag)
+                l1_set[tag] = l1_set.pop(tag)  # LRU touch
+                if not is_load:
+                    l1_dirty[slot] = 1
+                    continue
                 completion = ready + l1_latency
                 completions[load_seq] = completion
                 if len(completions) >= prune_at:
@@ -322,18 +249,20 @@ class FastCore(Core):
                     value_hooks(op, completion)
                 continue
 
+            # ---- L1 miss (== Core._l2_hit_load / _l2_miss_load /
+            # _store): stores differ only where tested on is_load
             l1_misses += 1
             l2_set = l2_sets[(tag >> shift) & l2_set_mask]
             slot = l2_set.get(tag)
             self.cycle = cycle
             self.retired = retired
-            if slot is not None:
-                # ---- L2 hit (== Core._l2_hit_load) ----------------------
+            l2_hit = slot is not None
+            if l2_hit:
                 l2_hits += 1
                 l2_set[tag] = l2_set.pop(tag)
                 fill_time = l2_fill[slot]
                 late = fill_time > ready
-                if late:
+                if late and is_load:
                     data_ready = ready + unloaded
                     if fill_time < data_ready:
                         data_ready = fill_time
@@ -348,52 +277,30 @@ class FastCore(Core):
                     if gendler is not None:
                         gendler.record_use(owner)
                     if owner == cdp_name:
-                        if hw_filter is not None:
+                        if is_load and hw_filter is not None:
                             hw_filter.on_prefetch_used(tag)
                         if pg_observer is not None:
                             pg_observer.on_use(tag)
-                # == Core._fill_l1 (clean load fill)
-                if len(l1_set) >= l1_ways:
-                    victim_tag = next(iter(l1_set))  # LRU victim
-                    slot = l1_set.pop(victim_tag)
-                    l1_evictions += 1
-                    if l1_dirty[slot]:
-                        victim_slot = l2_sets[
-                            (victim_tag >> shift) & l2_set_mask
-                        ].get(victim_tag)
-                        if victim_slot is not None:
-                            l2_dirty[victim_slot] = 1
-                        else:
-                            dram_writeback(cycle, victim_tag)
-                            self.bus_transfers += 1
-                else:
-                    slot = l1_free[l1_set_index].pop()
-                l1_fill[slot] = cycle
-                l1_owner[slot] = None
-                l1_dirty[slot] = 0
-                l1_demand_pc[slot] = 0
-                l1_set[tag] = slot
-                while outstanding and outstanding[0][0] <= cycle:
-                    outstanding.popleft()
-                outstanding.append((completion, retired))
-                if len(outstanding) > mshrs:
-                    mshr_bound()
-                    cycle = self.cycle
-                if has_train:
-                    fast_train(addr, op.pc, True)
             else:
-                # ---- L2 miss (== Core._l2_miss_load) --------------------
                 l2_misses += 1
                 record_demand_miss(tag)
-                if op.pc in oracle_pcs:
+                if is_load and op.pc in oracle_pcs:
                     completion = ready + l2_latency
                     fill_l2(tag, fill_time=ready, demand_pc=op.pc)
                 else:
                     arrival = demand_access(ready, tag)
                     self.bus_transfers += 1
                     completion = arrival + l2_latency
-                    fill_l2(tag, fill_time=arrival, demand_pc=op.pc)
-                    if cdp is not None and self._prefetcher_enabled(cdp.name):
+                    fill_l2(
+                        tag,
+                        fill_time=arrival if is_load else cycle,
+                        demand_pc=op.pc,
+                    )
+                    if (
+                        is_load
+                        and cdp is not None
+                        and self._prefetcher_enabled(cdp_name)
+                    ):
                         words = memory.read_block_words(tag, blk)
                         requests = cdp.scan_fill(
                             tag,
@@ -404,36 +311,40 @@ class FastCore(Core):
                         )
                         for request in requests:
                             issue_prefetch(request, ready)
-                # == Core._fill_l1 (clean load fill)
-                if len(l1_set) >= l1_ways:
-                    victim_tag = next(iter(l1_set))  # LRU victim
-                    slot = l1_set.pop(victim_tag)
-                    l1_evictions += 1
-                    if l1_dirty[slot]:
-                        victim_slot = l2_sets[
-                            (victim_tag >> shift) & l2_set_mask
-                        ].get(victim_tag)
-                        if victim_slot is not None:
-                            l2_dirty[victim_slot] = 1
-                        else:
-                            dram_writeback(cycle, victim_tag)
-                            self.bus_transfers += 1
-                else:
-                    slot = l1_free[l1_set_index].pop()
-                l1_fill[slot] = cycle
-                l1_owner[slot] = None
-                l1_dirty[slot] = 0
-                l1_demand_pc[slot] = 0
-                l1_set[tag] = slot
-                while outstanding and outstanding[0][0] <= cycle:
-                    outstanding.popleft()
-                outstanding.append((completion, retired))
-                if len(outstanding) > mshrs:
-                    mshr_bound()
-                    cycle = self.cycle
-                if has_train:
-                    fast_train(addr, op.pc, False)
+            # == Core._fill_l1
+            if len(l1_set) >= l1_ways:
+                victim_tag = next(iter(l1_set))  # LRU victim
+                slot = l1_set.pop(victim_tag)
+                l1_evictions += 1
+                if l1_dirty[slot]:
+                    victim_slot = l2_sets[
+                        (victim_tag >> shift) & l2_set_mask
+                    ].get(victim_tag)
+                    if victim_slot is not None:
+                        l2_dirty[victim_slot] = 1
+                    else:
+                        dram_writeback(cycle, victim_tag)
+                        self.bus_transfers += 1
+            else:
+                slot = l1_free[l1_set_index].pop()
+            l1_fill[slot] = cycle
+            l1_owner[slot] = None
+            l1_dirty[slot] = not is_load
+            l1_demand_pc[slot] = 0
+            l1_set[tag] = slot
+            if not is_load:
+                if train_on_stores and has_train:
+                    fast_train(addr, op.pc, l2_hit)
+                continue
 
+            while outstanding and outstanding[0][0] <= cycle:
+                outstanding.popleft()
+            outstanding.append((completion, retired))
+            if len(outstanding) > mshrs:
+                mshr_bound()
+                cycle = self.cycle
+            if has_train:
+                fast_train(addr, op.pc, l2_hit)
             completions[load_seq] = completion
             if len(completions) >= prune_at:
                 horizon = load_seq - prune_keep

@@ -34,10 +34,6 @@ class DramStats:
     total_demand_latency: float = 0.0
 
     @property
-    def total_requests(self) -> int:
-        return self.demand_requests + self.prefetch_requests + self.writebacks
-
-    @property
     def mean_demand_latency(self) -> float:
         if self.demand_requests == 0:
             return 0.0

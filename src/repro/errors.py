@@ -110,14 +110,6 @@ class CheckpointError(ReproError):
     """A checkpoint journal could not be read or written."""
 
 
-class JournalCorruptionError(CheckpointError):
-    """A checkpoint journal failed integrity verification.
-
-    Raised by ``repro journal verify`` surfaces; the resume path never
-    raises this — it salvages intact records and reports the damage.
-    """
-
-
 class FaultPlanError(UsageError):
     """A fault-injection plan is malformed (unknown kind, bad coordinates)."""
 

@@ -26,19 +26,13 @@ class Mechanism:
     cdp: bool = False
     hints: str = "none"  # none | ecdp | grp | loadfilter
     throttle: str = "none"  # none | coordinated | fdp | gendler
-    correlation: str = "none"  # none | markov | ghb | dbp
+    correlation: str = "none"  # none | markov | ghb | dbp | stride | nextline
     hw_filter: bool = False
     oracle_lds: bool = False
 
     @property
     def needs_profile(self) -> bool:
         return self.hints != "none"
-
-    @property
-    def prefetcher_count(self) -> int:
-        count = int(self.stream) + int(self.cdp)
-        count += int(self.correlation != "none")
-        return count
 
 
 MECHANISMS: Dict[str, Mechanism] = {
@@ -76,20 +70,9 @@ MECHANISMS: Dict[str, Mechanism] = {
         # Related-work coarse-grained hint baselines (Sections 7.1, 7.2)
         Mechanism("grp", cdp=True, hints="grp"),
         Mechanism("loadfilter", cdp=True, hints="loadfilter"),
-        # Further Section 7.3 LDS prefetchers (library extensions)
-        Mechanism("pointer-cache", correlation="pointer-cache"),
-        Mechanism("avd", correlation="avd"),
+        # Per-PC stride and next-line prefetchers (library extensions)
         Mechanism("stride", correlation="stride"),
         Mechanism("nextline", stream=False, correlation="nextline"),
-        # N-ary coordinated throttling (Section 4.2's sketched extension):
-        # stream + per-PC stride + ECDP under one controller.
-        Mechanism(
-            "tri-hybrid",
-            cdp=True,
-            hints="ecdp",
-            correlation="stride",
-            throttle="coordinated",
-        ),
     ]
 }
 

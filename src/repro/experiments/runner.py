@@ -30,13 +30,11 @@ from repro.core.system import MultiCoreSystem
 from repro.dram.bus import MemoryBus
 from repro.dram.controller import DramController
 from repro.experiments.configs import Mechanism, get_mechanism
-from repro.prefetch.avd import AvdPrefetcher
 from repro.prefetch.cdp import ContentDirectedPrefetcher
 from repro.prefetch.dbp import DependenceBasedPrefetcher
 from repro.prefetch.filter_hw import HardwarePrefetchFilter
 from repro.prefetch.ghb import GhbPrefetcher
 from repro.prefetch.markov import MarkovPrefetcher
-from repro.prefetch.pointer_cache import PointerCachePrefetcher
 from repro.prefetch.stream import StreamPrefetcher
 from repro.prefetch.stride import NextLinePrefetcher, StridePrefetcher
 from repro.policy.registry import controller_for
@@ -276,7 +274,6 @@ def build_core(
         else None
     )
     correlation = []
-    value_observers = []
     dbp = None
     if mechanism.correlation == "markov":
         correlation.append(MarkovPrefetcher(config.block_size))
@@ -284,14 +281,6 @@ def build_core(
         correlation.append(GhbPrefetcher(config.block_size))
     elif mechanism.correlation == "dbp":
         dbp = DependenceBasedPrefetcher(config.block_size)
-    elif mechanism.correlation == "pointer-cache":
-        pointer_cache = PointerCachePrefetcher(config.block_size)
-        correlation.append(pointer_cache)
-        value_observers.append(pointer_cache)
-    elif mechanism.correlation == "avd":
-        avd = AvdPrefetcher(config.block_size)
-        correlation.append(avd)
-        value_observers.append(avd)
     elif mechanism.correlation == "stride":
         correlation.append(StridePrefetcher(config.block_size))
     elif mechanism.correlation == "nextline":
@@ -319,7 +308,6 @@ def build_core(
         hw_filter=hw_filter,
         gendler=gendler,
         oracle_pcs=instance.lds_pcs if mechanism.oracle_lds else None,
-        value_observers=value_observers,
         telemetry=telemetry,
     )
 

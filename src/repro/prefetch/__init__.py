@@ -1,14 +1,13 @@
-"""Prefetchers: the baseline stream prefetcher, CDP/ECDP, and the
-LDS/correlation baselines the paper compares against."""
+"""Prefetchers: the baseline stream prefetcher, CDP/ECDP, the
+LDS/correlation baselines the paper compares against, and per-PC stride
+and next-line prefetchers."""
 
-from repro.prefetch.avd import AvdPrefetcher
 from repro.prefetch.base import Prefetcher, PrefetchQueue, PrefetchRequest
 from repro.prefetch.cdp import CDP_LEVELS, ContentDirectedPrefetcher
 from repro.prefetch.dbp import DependenceBasedPrefetcher
 from repro.prefetch.filter_hw import HardwarePrefetchFilter
 from repro.prefetch.ghb import GHB_DEGREE_LEVELS, GhbPrefetcher
 from repro.prefetch.markov import MarkovPrefetcher
-from repro.prefetch.pointer_cache import PointerCachePrefetcher
 from repro.prefetch.stream import STREAM_LEVELS, StreamPrefetcher
 from repro.prefetch.stride import (
     NextLinePrefetcher,
@@ -17,7 +16,6 @@ from repro.prefetch.stride import (
 )
 
 __all__ = [
-    "AvdPrefetcher",
     "CDP_LEVELS",
     "ContentDirectedPrefetcher",
     "DependenceBasedPrefetcher",
@@ -26,7 +24,6 @@ __all__ = [
     "HardwarePrefetchFilter",
     "MarkovPrefetcher",
     "NextLinePrefetcher",
-    "PointerCachePrefetcher",
     "Prefetcher",
     "PrefetchQueue",
     "PrefetchRequest",

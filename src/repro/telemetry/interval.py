@@ -155,14 +155,6 @@ class IntervalSeriesRecorder:
 
     # -- views ---------------------------------------------------------------
 
-    def levels_series(self, owner: str) -> List[Tuple[int, int]]:
-        """(interval, level) pairs for one prefetcher over the run."""
-        return [
-            (s["interval"], s["prefetchers"][owner]["level"])
-            for s in self.samples
-            if owner in s["prefetchers"]
-        ]
-
     def summary(self) -> Dict[str, Any]:
         """Compact per-run digest of the series (export-friendly)."""
         out: Dict[str, Any] = {

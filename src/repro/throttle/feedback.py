@@ -71,11 +71,6 @@ class PrefetcherCounters:
         denominator = used + total_misses
         return used / denominator if denominator else 0.0
 
-    def lifetime_accuracy(self) -> float:
-        if not self.lifetime_prefetched:
-            return 0.0
-        return self.lifetime_used / self.lifetime_prefetched
-
 
 class PollutionFilter:
     """Bit-vector filter tracking demand blocks displaced by prefetches.

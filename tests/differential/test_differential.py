@@ -37,6 +37,9 @@ MECHANISMS = [
     "ecdp+throttle",   # hints + coordinated throttling (feedback hooks)
     "ecdp+fdp",        # FDP throttling mode
     "gendler",         # selector throttling mode
+    "dbp",             # stream + DBP: the load-value hook
+    "markov",          # stream + Markov correlation training
+    "ghb",             # GHB correlation alone, no stream
 ]
 
 

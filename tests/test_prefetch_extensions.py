@@ -1,78 +1,10 @@
-"""Unit tests for the extension prefetchers: pointer cache, AVD,
-per-PC stride, next-line."""
+"""Unit tests for the extension prefetchers: per-PC stride, next-line."""
 
 import pytest
 
-from repro.prefetch.avd import AvdPrefetcher
-from repro.prefetch.pointer_cache import PointerCachePrefetcher
 from repro.prefetch.stride import NextLinePrefetcher, StridePrefetcher
 
 BLOCK = 64
-
-
-class TestPointerCache:
-    def test_learns_location_and_prefetches_value(self):
-        cache = PointerCachePrefetcher(BLOCK)
-        location, target = 0x1000_0004, 0x1100_0000
-        cache.on_load_value(0.0, 1, location, target)
-        requests = cache.on_demand_access(1.0, location, 1, l2_hit=False)
-        assert [r.block_addr for r in requests] == [target]
-
-    def test_unknown_location_quiet(self):
-        cache = PointerCachePrefetcher(BLOCK)
-        assert cache.on_demand_access(0.0, 0x1000_0000, 1, False) == []
-
-    def test_non_pointer_value_invalidates(self):
-        cache = PointerCachePrefetcher(BLOCK)
-        cache.on_load_value(0.0, 1, 0x1000_0004, 0x1100_0000)
-        cache.on_load_value(1.0, 1, 0x1000_0004, 7)  # overwritten with int
-        assert cache.on_demand_access(2.0, 0x1000_0004, 1, False) == []
-
-    def test_updated_pointer_tracked(self):
-        cache = PointerCachePrefetcher(BLOCK)
-        cache.on_load_value(0.0, 1, 0x1000_0004, 0x1100_0000)
-        cache.on_load_value(1.0, 1, 0x1000_0004, 0x1200_0000)
-        requests = cache.on_demand_access(2.0, 0x1000_0004, 1, False)
-        assert requests[0].block_addr == 0x1200_0000
-
-    def test_capacity_bounded(self):
-        cache = PointerCachePrefetcher(BLOCK, n_entries=4)
-        for i in range(10):
-            cache.on_load_value(0.0, 1, 0x1000_0000 + i * 4, 0x1100_0000)
-        assert len(cache._entries) <= 4
-
-    def test_storage_cost_scales_to_megabyte(self):
-        big = PointerCachePrefetcher(BLOCK, n_entries=1 << 17)
-        assert big.storage_bits() / 8 / 1024 / 1024 >= 1.0
-
-
-class TestAvd:
-    def test_stable_delta_predicts(self):
-        avd = AvdPrefetcher(BLOCK)
-        # Load at addr returns addr+0x40 three times: delta locks in.
-        for base in (0x1000_0000, 0x1000_0100, 0x1000_0200):
-            avd.on_load_value(0.0, 7, base, base + 0x40)
-        requests = avd.on_demand_access(1.0, 0x1000_0300, 7, l2_hit=False)
-        assert [r.block_addr for r in requests] == [0x1000_0340]
-
-    def test_unstable_delta_stays_quiet(self):
-        avd = AvdPrefetcher(BLOCK)
-        avd.on_load_value(0.0, 7, 0x1000_0000, 0x1000_0040)
-        avd.on_load_value(0.0, 7, 0x1000_0100, 0x1000_0900)
-        avd.on_load_value(0.0, 7, 0x1000_0200, 0x1000_0280)
-        assert avd.on_demand_access(1.0, 0x1000_0300, 7, False) == []
-
-    def test_huge_delta_not_learned(self):
-        avd = AvdPrefetcher(BLOCK)
-        for base in (0x1000_0000, 0x1000_0100, 0x1000_0200):
-            avd.on_load_value(0.0, 7, base, base + (1 << 24))
-        assert avd.on_demand_access(1.0, 0x1000_0300, 7, False) == []
-
-    def test_per_pc_isolation(self):
-        avd = AvdPrefetcher(BLOCK)
-        for base in (0x1000_0000, 0x1000_0100, 0x1000_0200):
-            avd.on_load_value(0.0, 7, base, base + 0x40)
-        assert avd.on_demand_access(1.0, 0x1000_0300, 8, False) == []
 
 
 class TestStride:
@@ -125,34 +57,9 @@ class TestNextLine:
 
 
 class TestMechanismIntegration:
-    @pytest.mark.parametrize(
-        "mechanism", ["pointer-cache", "avd", "stride", "nextline", "tri-hybrid"]
-    )
+    @pytest.mark.parametrize("mechanism", ["stride", "nextline"])
     def test_runs_end_to_end(self, mechanism):
         from repro.experiments.runner import run_benchmark
 
         result = run_benchmark("health", mechanism, input_set="test")
         assert result.ipc > 0
-
-    def test_tri_hybrid_throttles_three_prefetchers(self):
-        from repro.core.config import SystemConfig
-        from repro.experiments.configs import get_mechanism
-        from repro.experiments.runner import (
-            build_core,
-            hint_filter_for,
-            make_dram,
-        )
-        from repro.workloads.registry import get_workload
-
-        config = SystemConfig.scaled()
-        mechanism = get_mechanism("tri-hybrid")
-        hints = hint_filter_for(mechanism, "health", config)
-        instance = get_workload("health").build("train")
-        core = build_core(
-            mechanism, config, instance, make_dram(config), hints
-        )
-        controller = core.feedback.on_interval.__self__
-        assert len(controller.prefetchers) == 3
-        core.run(instance.trace())
-        owners = {d.owner for d in controller.decisions}
-        assert owners == {"stream", "stride", "cdp"}
