@@ -3,12 +3,19 @@
 Measures the simulation kernel itself (trace pre-materialized, only
 ``core.run`` timed) over olden-style pointer chases and a streaming
 workload, each on the raw kernel (``no-prefetch``) and on the
-stream-prefetcher baseline.  Every cell runs through the sweep engine
-(crash isolation + checkpoint-resume) via
-:func:`repro.experiments.kernel_bench.kernel_bench_worker`, which times
-``reference`` (event-faithful objects) and ``fast`` (flat dicts) with
-interleaved best-of rounds and verifies they returned bit-identical
-results.
+stream-prefetcher baseline.  Each of the six cells times ``reference``
+(event-faithful objects) and ``fast`` (flat dicts) in this one process
+and checks that they returned bit-identical results.
+
+Two measurement rules keep the ratio honest on noisy shared machines:
+
+* **Interleaved rounds.**  Engines take turns within each repetition
+  (A, B, A, B, ...) instead of running all of one engine's repeats back
+  to back, so a slow drift in machine speed lands on every engine
+  equally.
+* **Best-of (min over repeats).**  The minimum elapsed time per engine
+  is the run least disturbed by the scheduler; ratios of minima compare
+  like with like.
 
 Two entry points:
 
@@ -26,25 +33,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
+import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ENGINES, SystemConfig
-from repro.experiments.engine import (
-    CheckpointJournal,
-    ExecutionEngine,
-    Job,
-    RetryPolicy,
-)
-from repro.experiments.kernel_bench import (
-    OPS_ENV,
-    REPEATS_ENV,
-    kernel_bench_worker,
-)
+from repro.core.stats import CoreResult
+from repro.experiments.configs import get_mechanism
 from repro.experiments.reporting import format_table
+from repro.experiments.runner import build_core, hint_filter_for, make_dram
+from repro.telemetry import Telemetry, TelemetryConfig
+from repro.workloads.registry import get_workload
 
 #: the measured matrix: workload -> class
 WORKLOAD_CLASSES = {
@@ -59,17 +60,110 @@ INPUT_SET = "train"
 #: the acceptance cell: an olden pointer chase on the raw kernel
 HEADLINE_CELL = ("mst", "no-prefetch")
 
-_METRIC_KEYS = (
-    "ops",
-    "repeats",
-    "engines",
-    "reference_seconds",
-    "fast_seconds",
-    "reference_ops_per_sec",
-    "fast_ops_per_sec",
-    "speedup",
-    "identical",
-)
+#: default timed repetitions per engine (best-of, to shed scheduler noise)
+DEFAULT_REPEATS = 3
+#: the smoke run's op budget and repeats (CI)
+SMOKE_OPS = 4000
+SMOKE_REPEATS = 1
+
+
+def time_engines(
+    engines: Sequence[str],
+    benchmark: str,
+    mechanism: str,
+    config: SystemConfig,
+    input_set: str = INPUT_SET,
+    budget: Optional[int] = None,
+    rounds: int = DEFAULT_REPEATS,
+    telemetry: Optional[TelemetryConfig] = None,
+) -> Dict[str, Dict[str, Any]]:
+    """Best-of timings for several engines, rounds interleaved.
+
+    Returns ``{engine: {"ops", "seconds", "result"}}`` where ``seconds``
+    is the minimum over *rounds* timed runs of the trace truncated to
+    *budget* ops (None: the whole trace).  The workload instance (and so
+    the trace and simulated memory contents) is rebuilt per run —
+    generation is deterministic, so every round and every engine sees
+    identical input.  *telemetry* records a fresh session on every run.
+    """
+    mech = get_mechanism(mechanism)
+    configs = {e: config.with_overrides(engine=e) for e in engines}
+    filters = {
+        e: hint_filter_for(mech, benchmark, configs[e], "train")
+        for e in engines
+    }
+    out: Dict[str, Dict[str, Any]] = {
+        e: {"ops": 0, "seconds": float("inf"), "result": None}
+        for e in engines
+    }
+    for __ in range(max(1, rounds)):
+        for engine in engines:
+            cfg = configs[engine]
+            instance = get_workload(benchmark).build(input_set)
+            ops = list(instance.trace())[:budget]
+            entry = out[engine]
+            entry["ops"] = len(ops)
+            dram = make_dram(cfg, n_cores=1)
+            stream = (
+                Telemetry(telemetry).stream("core0")
+                if telemetry is not None else None
+            )
+            core = build_core(mech, cfg, instance, dram, filters[engine],
+                              telemetry=stream)
+            start = time.perf_counter()
+            entry["result"] = core.run(ops)
+            elapsed = time.perf_counter() - start
+            if elapsed < entry["seconds"]:
+                entry["seconds"] = elapsed
+    for entry in out.values():
+        entry["seconds"] = max(entry["seconds"], 1e-9)
+    return out
+
+
+def time_engine(
+    engine: str,
+    benchmark: str,
+    mechanism: str,
+    config: SystemConfig,
+    input_set: str = INPUT_SET,
+    budget: Optional[int] = None,
+    rounds: int = DEFAULT_REPEATS,
+    telemetry: Optional[TelemetryConfig] = None,
+) -> Tuple[int, float, CoreResult]:
+    """(ops, best seconds, final CoreResult) for one engine on one cell.
+
+    Prefer :func:`time_engines` when comparing engines: it interleaves
+    rounds so machine-speed drift cannot favour one side.
+    """
+    entry = time_engines(
+        [engine], benchmark, mechanism, config, input_set=input_set,
+        budget=budget, rounds=rounds, telemetry=telemetry,
+    )[engine]
+    return entry["ops"], entry["seconds"], entry["result"]
+
+
+def measure_cell(
+    benchmark: str, mechanism: str, config: SystemConfig,
+    budget: Optional[int], rounds: int,
+) -> Dict[str, Any]:
+    """Every engine on one cell: ops/sec, the speedup, bit-identity."""
+    timings = time_engines(ENGINES, benchmark, mechanism, config,
+                           budget=budget, rounds=rounds)
+    reference = timings["reference"]
+    fast = timings["fast"]
+    n_ops = reference["ops"]
+    results = [timings[e]["result"] for e in ENGINES]
+    return {
+        "ops": n_ops,
+        "repeats": rounds,
+        "engines": list(ENGINES),
+        "reference_seconds": reference["seconds"],
+        "fast_seconds": fast["seconds"],
+        "reference_ops_per_sec": n_ops / reference["seconds"],
+        "fast_ops_per_sec": n_ops / fast["seconds"],
+        "speedup": reference["seconds"] / fast["seconds"],
+        "identical": all(r == results[0] for r in results[1:]),
+    }
 
 
 def _versions() -> Dict[str, str]:
@@ -81,46 +175,20 @@ def _versions() -> Dict[str, str]:
 
 
 def compute(
-    jobs: int = 2,
-    timeout: Optional[float] = 900.0,
-    checkpoint: Optional[CheckpointJournal] = None,
-    resume: bool = False,
+    budget: Optional[int] = None, rounds: int = DEFAULT_REPEATS
 ) -> Dict[str, Any]:
-    """Run the matrix through the sweep engine; return the JSON payload."""
+    """Time every cell in turn; return the JSON payload."""
     config = SystemConfig.scaled()
-    matrix = [
-        Job(workload, mechanism, config, input_set=INPUT_SET)
-        for workload in WORKLOAD_CLASSES
+    cells: List[Dict[str, Any]] = [
+        {
+            "workload": workload,
+            "class": cls,
+            "mechanism": mechanism,
+            **measure_cell(workload, mechanism, config, budget, rounds),
+        }
+        for workload, cls in WORKLOAD_CLASSES.items()
         for mechanism in MECHANISMS
     ]
-    engine = ExecutionEngine(
-        jobs=jobs,
-        timeout=timeout,
-        retry=RetryPolicy(max_attempts=2),
-        checkpoint=checkpoint,
-        worker=kernel_bench_worker,
-    )
-    report = engine.run(matrix, resume=resume)
-
-    cells: List[Dict[str, Any]] = []
-    failures: List[Dict[str, str]] = []
-    for outcome in report:
-        job = outcome.job
-        cell: Dict[str, Any] = {
-            "workload": job.benchmark,
-            "class": WORKLOAD_CLASSES[job.benchmark],
-            "mechanism": job.mechanism,
-        }
-        if outcome.ok:
-            # fresh results are worker dicts; resumed ones are
-            # ResultSnapshots — both expose .get
-            result = outcome.result
-            cell.update({key: result.get(key) for key in _METRIC_KEYS})
-            cells.append(cell)
-        else:
-            failures.append(
-                {"cell": job.label, "reason": outcome.failure.reason}
-            )
 
     def cell_for(workload: str, mechanism: str) -> Optional[Dict[str, Any]]:
         for cell in cells:
@@ -149,20 +217,11 @@ def compute(
         "engines": list(ENGINES),
         "config": "scaled",
         "input_set": INPUT_SET,
-        "op_budget": _env_int(OPS_ENV),
+        "op_budget": budget,
         "versions": _versions(),
         "cells": cells,
         "headline": headline,
-        "failures": failures,
     }
-
-
-def _env_int(name: str) -> Optional[int]:
-    try:
-        value = int(os.environ.get(name, "0"))
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 def render(payload: Dict[str, Any]) -> str:
@@ -184,10 +243,6 @@ def render(payload: Dict[str, Any]) -> str:
                 fmt_ratio(cell["speedup"]),
                 "yes" if cell["identical"] else "NO",
             )
-        )
-    for failure in payload["failures"]:
-        rows.append(
-            (failure["cell"], "FAILED", failure["reason"], "", "", "", "")
         )
     headline = payload["headline"]
     rows.append(
@@ -211,17 +266,12 @@ def render(payload: Dict[str, Any]) -> str:
 
 def bench_perf_kernel(benchmark, show):
     """pytest entry: budgeted smoke run; correctness asserts only."""
-    os.environ[OPS_ENV] = "4000"
-    os.environ[REPEATS_ENV] = "1"
-    try:
-        payload = benchmark.pedantic(compute, rounds=1, iterations=1)
-    finally:
-        os.environ.pop(OPS_ENV, None)
-        os.environ.pop(REPEATS_ENV, None)
+    payload = benchmark.pedantic(
+        compute, args=(SMOKE_OPS, SMOKE_REPEATS), rounds=1, iterations=1
+    )
     show(render(payload))
     # correctness must hold at any budget; speed asserts belong to the
     # full run (CI machines are too noisy for a hard ratio here)
-    assert not payload["failures"]
     assert payload["headline"]["all_identical"]
     assert all(cell["speedup"] > 0 for cell in payload["cells"])
 
@@ -240,38 +290,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="fixed op budget (4000 ops, 1 repeat) for CI",
+        help=f"fixed op budget ({SMOKE_OPS} ops, {SMOKE_REPEATS} repeat) "
+             "for CI",
     )
     parser.add_argument("--ops", type=int, default=None,
                         help="truncate traces to N ops")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timed repetitions per engine (best-of)")
-    parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the checkpoint journal")
-    parser.add_argument("--checkpoint-dir", default=".repro-checkpoints")
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        os.environ.setdefault(OPS_ENV, "4000")
-        os.environ.setdefault(REPEATS_ENV, "1")
+    budget = SMOKE_OPS if args.smoke else None
+    rounds = SMOKE_REPEATS if args.smoke else DEFAULT_REPEATS
     if args.ops is not None:
-        os.environ[OPS_ENV] = str(args.ops)
+        budget = args.ops
     if args.repeats is not None:
-        os.environ[REPEATS_ENV] = str(args.repeats)
-
-    journal = CheckpointJournal.for_sweep("perf-kernel", args.checkpoint_dir)
-    if not args.resume:
-        journal.clear()
-    payload = compute(
-        jobs=args.jobs, checkpoint=journal, resume=args.resume
-    )
+        rounds = args.repeats
+    payload = compute(budget, rounds)
     print(render(payload))
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
-    if payload["failures"] or not payload["headline"]["all_identical"]:
-        return 1
-    return 0
+    return 0 if payload["headline"]["all_identical"] else 1
 
 
 if __name__ == "__main__":

@@ -119,7 +119,6 @@ BOOTSTRAP_SEED = 0
 ENTRANTS: Dict[str, tuple] = {
     "table3": ("table3", ""),
     "qlearn-trained": ("qlearn", None),  # filled by train phase
-    "pid": ("pid", ""),
     "static-3": ("static", "level=3"),
     "static-1": ("static", "level=1"),
 }
@@ -407,7 +406,7 @@ def compute(
 
 #: schema floor for the full artifact (CI validates the smoke shape
 #: with the same checker minus the count floors)
-FULL_MIN_POLICIES = 4
+FULL_MIN_POLICIES = 3
 FULL_MIN_WORKLOADS = 18
 
 _CELL_KEYS = {"workload", "entrant", "perf", "bandwidth",
@@ -440,7 +439,7 @@ def validate_payload(payload: Dict[str, Any], smoke: bool = False) -> None:
             f"policies, got {sorted(policies)}"
         )
         assert len(payload["workloads"]) >= FULL_MIN_WORKLOADS
-        assert {"table3", "qlearn", "pid", "static"} <= policies
+        assert {"table3", "qlearn", "static"} <= policies
     n_expected = len(payload["entrants"]) * len(payload["workloads"])
     assert len(payload["cells"]) == n_expected
     for cell in payload["cells"]:

@@ -27,19 +27,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from bench_perf_kernel import (
+    DEFAULT_REPEATS,
+    SMOKE_OPS,
+    SMOKE_REPEATS,
+    time_engine,
+)
 from repro.core.config import SystemConfig
-from repro.experiments.configs import get_mechanism
-from repro.experiments.kernel_bench import OPS_ENV, REPEATS_ENV, time_engine
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import build_core, hint_filter_for, make_dram
-from repro.telemetry import Telemetry, TelemetryConfig
-from repro.workloads.registry import get_workload
+from repro.telemetry import TelemetryConfig
 
 #: measured cells: the kernel headline plus the stream baseline
 CELLS = [("mst", "no-prefetch"), ("mst", "baseline")]
@@ -57,60 +57,15 @@ MODES = {
 }
 
 
-def _rounds() -> int:
-    try:
-        return max(1, int(os.environ.get(REPEATS_ENV, "3")))
-    except ValueError:
-        return 3
-
-
-def _budget_ops() -> Optional[int]:
-    try:
-        value = int(os.environ.get(OPS_ENV, "0"))
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def time_mode(
-    benchmark: str,
-    mechanism: str,
-    config: SystemConfig,
-    mode: Optional[TelemetryConfig],
-    rounds: int,
-    budget: Optional[int],
-) -> float:
-    """Best-of-rounds seconds for one cell under one telemetry mode."""
-    mech = get_mechanism(mechanism)
-    hint_filter = hint_filter_for(mech, benchmark, config, "train")
-    best = float("inf")
-    for __ in range(rounds):
-        instance = get_workload(benchmark).build(INPUT_SET)
-        ops = list(instance.trace())
-        if budget is not None:
-            ops = ops[:budget]
-        dram = make_dram(config, n_cores=1)
-        telemetry = Telemetry(mode) if mode is not None else None
-        stream = telemetry.stream("core0") if telemetry is not None else None
-        core = build_core(mech, config, instance, dram, hint_filter,
-                          telemetry=stream)
-        start = time.perf_counter()
-        core.run(ops)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return max(best, 1e-9)
-
-
-def compute() -> Dict[str, Any]:
-    config = SystemConfig.scaled().with_overrides(engine="fast")
-    rounds = _rounds()
-    budget = _budget_ops()
+def compute(budget: Optional[int], rounds: int) -> Dict[str, Any]:
+    config = SystemConfig.scaled()
     cells: List[Dict[str, Any]] = []
     for benchmark, mechanism in CELLS:
         timings = {
-            name: time_mode(benchmark, mechanism, config, mode, rounds,
-                            budget)
+            name: time_engine(
+                "fast", benchmark, mechanism, config, input_set=INPUT_SET,
+                budget=budget, rounds=rounds, telemetry=mode,
+            )[1]
             for name, mode in MODES.items()
         }
         disabled = timings["disabled"]
@@ -134,14 +89,15 @@ def compute() -> Dict[str, Any]:
     }
 
 
-def check_budget(baseline_path: Path, rounds: int) -> Dict[str, Any]:
+def check_budget(
+    baseline_path: Path, budget: Optional[int], rounds: int
+) -> Dict[str, Any]:
     """Ratio-of-ratios disabled-overhead check against BENCH_kernel.json."""
     recorded = json.loads(baseline_path.read_text())
     headline = recorded["headline"]["pointer_chase_kernel_speedup"]
     if not headline:
         raise SystemExit(f"{baseline_path} has no recorded headline speedup")
     config = SystemConfig.scaled()
-    budget = _budget_ops()
     __, ref_seconds, ref_result = time_engine(
         "reference", "mst", "no-prefetch", config, input_set=INPUT_SET,
         budget=budget, rounds=rounds,
@@ -193,7 +149,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="output JSON path (default: BENCH_telemetry.json)",
     )
     parser.add_argument("--smoke", action="store_true",
-                        help="fixed op budget (4000 ops, 1 repeat) for CI")
+                        help=f"fixed op budget ({SMOKE_OPS} ops, "
+                             f"{SMOKE_REPEATS} repeat) for CI")
     parser.add_argument(
         "--check-budget", type=Path, default=None, metavar="BENCH_kernel.json",
         help="assert the fast-vs-reference speedup is within 2%% of the "
@@ -201,14 +158,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        os.environ.setdefault(OPS_ENV, "4000")
-        os.environ.setdefault(REPEATS_ENV, "1")
-
-    payload = compute()
+    budget = SMOKE_OPS if args.smoke else None
+    rounds = SMOKE_REPEATS if args.smoke else DEFAULT_REPEATS
+    payload = compute(budget, rounds)
     print(render(payload))
     if args.check_budget is not None:
-        verdict = check_budget(args.check_budget, _rounds())
+        verdict = check_budget(args.check_budget, budget, rounds)
         payload["budget_check"] = verdict
         print(
             "disabled budget: recorded %.2fx, current %.2fx "

@@ -875,8 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="throttling policy for coordinated mechanisms "
                             "(default: table3, the paper's heuristic)")
         p.add_argument("--policy-params", default=None, metavar="K=V,K=V",
-                       help="policy parameters, e.g. 'level=1' or "
-                            "'kp=2.0,target=0.6'")
+                       help="policy parameters, e.g. 'level=1'")
         p.add_argument("--policy-file", default=None, metavar="POLICY.json",
                        help="load policy + params from a `repro "
                             "train-policy --out` payload")

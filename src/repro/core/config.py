@@ -102,11 +102,11 @@ class SystemConfig:
     # Which controller sits between the feedback collector and the
     # aggressiveness ladders (see repro.policy): "table3" (the paper's
     # heuristic and the bit-identical default), "qlearn" (a greedy
-    # replay of the trained table it requires as q=<table>), "pid" or
-    # "static".  policy_params is a "key=value,key=value" string (kept
-    # a string so the frozen config stays hashable for the result cache
-    # and content-addressed job identity — the trained Q table embeds
-    # here and hashes with the job).
+    # replay of the trained table it requires as q=<table>) or "static".
+    # policy_params is a "key=value,key=value" string (kept a string so
+    # the frozen config stays hashable for the result cache and
+    # content-addressed job identity — the trained Q table embeds here
+    # and hashes with the job).
     throttle_policy: str = "table3"
     policy_params: str = ""
 

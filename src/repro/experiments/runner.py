@@ -15,7 +15,6 @@ stored profile is read instead of recomputed.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -81,17 +80,6 @@ class LruCache:
             self._data.popitem(last=False)
             self.evictions += 1
 
-    def resize(self, capacity: int) -> None:
-        """Change the bound, evicting LRU entries if shrinking."""
-        if not isinstance(capacity, int) or capacity < 1:
-            raise ConfigError(
-                f"cache capacity must be a positive integer (got {capacity!r})"
-            )
-        self.capacity = capacity
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
     def clear(self) -> None:
         """Drop entries and reset counters."""
         self._data.clear()
@@ -114,27 +102,14 @@ class LruCache:
         }
 
 
-def _default_cache_capacity() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_CACHE_SIZE", "128")))
-    except ValueError:
-        return 128
-
-
-_PROFILE_CACHE = LruCache(_default_cache_capacity())
-_RESULT_CACHE = LruCache(_default_cache_capacity())
+_PROFILE_CACHE = LruCache(128)
+_RESULT_CACHE = LruCache(128)
 
 
 def clear_caches() -> None:
     """Drop memoized profiles and results (tests use this)."""
     _PROFILE_CACHE.clear()
     _RESULT_CACHE.clear()
-
-
-def set_cache_capacity(capacity: int) -> None:
-    """Re-bound both memoization caches (evicting LRU entries if needed)."""
-    _PROFILE_CACHE.resize(capacity)
-    _RESULT_CACHE.resize(capacity)
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:

@@ -3,16 +3,14 @@
 The junction between the feedback collector and the prefetchers'
 aggressiveness ladders, made swappable: the paper's Table 3 heuristic
 (the default, bit-identical to the pre-policy controller), a Q table
-trained offline on recorded telemetry series and replayed greedily, a
-PID-on-accuracy loop with anti-windup, and static pinned-level
-baselines.  ``benchmarks/bench_policy_tournament.py`` races them on
-performance per unit of bandwidth, on workloads the table was not
-trained on.
+trained offline on recorded telemetry series and replayed greedily, and
+static pinned-level baselines.  ``benchmarks/bench_policy_tournament.py``
+races them on performance per unit of bandwidth, on workloads the table
+was not trained on.
 """
 
 from repro.policy.base import ACTIONS, FeedbackSignals, ThrottlePolicy
 from repro.policy.controller import PolicyThrottle
-from repro.policy.pid import PidAccuracyPolicy
 from repro.policy.qlearn import QLearningPolicy
 from repro.policy.registry import (
     POLICY_NAMES,
@@ -30,7 +28,6 @@ __all__ = [
     "FeedbackSignals",
     "ThrottlePolicy",
     "PolicyThrottle",
-    "PidAccuracyPolicy",
     "QLearningPolicy",
     "POLICY_NAMES",
     "controller_for",

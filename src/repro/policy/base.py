@@ -49,7 +49,7 @@ class ThrottlePolicy(ABC):
 
     Policies are *per-core* objects: construct one per simulated core
     (the runner does), never share instances across cores or runs.
-    Stateful policies (PID integrators) key any per-prefetcher state by
+    A stateful policy keys any per-prefetcher state by
     ``signals.owner``.
     """
 

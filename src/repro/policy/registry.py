@@ -16,22 +16,16 @@ and report everything at once.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional
 
 from repro.policy.base import ThrottlePolicy
 from repro.policy.controller import PolicyThrottle
-from repro.policy.pid import PidAccuracyPolicy
 from repro.policy.qlearn import QLearningPolicy
 from repro.policy.static import StaticLevelPolicy
 from repro.policy.table3 import Table3Policy
 from repro.throttle.levels import MAX_LEVEL, ThrottleThresholds
 
-#: name -> (allowed params, factory); factories take the parsed params
-#: dict plus the thresholds
-_PID_PARAMS = ("kp", "ki", "kd", "target", "windup", "deadband")
-
-POLICY_NAMES = ("table3", "qlearn", "pid", "static")
+POLICY_NAMES = ("table3", "qlearn", "static")
 
 
 def parse_policy_params(text: str) -> Dict[str, str]:
@@ -57,21 +51,11 @@ def parse_policy_params(text: str) -> Dict[str, str]:
     return params
 
 
-def _coerce(params: Dict[str, str], floats: tuple = (),
-            ints: tuple = ()) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    for key, value in params.items():
-        if key in floats:
-            out[key] = float(value)
-            if not math.isfinite(out[key]):
-                raise ValueError(
-                    f"policy param {key} must be finite, got {value!r}"
-                )
-        elif key in ints:
-            out[key] = int(value)
-        else:
-            out[key] = value
-    return out
+def _coerce(params: Dict[str, str], ints: tuple = ()) -> Dict[str, object]:
+    return {
+        key: int(value) if key in ints else value
+        for key, value in params.items()
+    }
 
 
 def _make_table3(params, thresholds) -> ThrottlePolicy:
@@ -81,11 +65,6 @@ def _make_table3(params, thresholds) -> ThrottlePolicy:
 def _make_static(params, thresholds) -> ThrottlePolicy:
     kwargs = _coerce(params, ints=("level",))
     return StaticLevelPolicy(**kwargs)
-
-
-def _make_pid(params, thresholds) -> ThrottlePolicy:
-    kwargs = _coerce(params, floats=_PID_PARAMS)
-    return PidAccuracyPolicy(**kwargs)
 
 
 def _make_qlearn(params, thresholds) -> ThrottlePolicy:
@@ -100,14 +79,12 @@ def _make_qlearn(params, thresholds) -> ThrottlePolicy:
 _FACTORIES: Dict[str, Callable] = {
     "table3": _make_table3,
     "qlearn": _make_qlearn,
-    "pid": _make_pid,
     "static": _make_static,
 }
 
 _ALLOWED_PARAMS: Dict[str, tuple] = {
     "table3": (),
     "qlearn": ("q",),
-    "pid": _PID_PARAMS,
     "static": ("level",),
 }
 

@@ -31,7 +31,11 @@ from urllib.parse import urlsplit
 from repro.errors import ServiceBusyError, ServiceError
 from repro.experiments.engine.executor import SweepReport
 from repro.experiments.engine.job import Job, JobResult
-from repro.service.protocol import result_from_record, submission_from_job
+from repro.service.protocol import (
+    ABANDONED,
+    result_from_record,
+    submission_from_job,
+)
 
 #: submission payload statuses that mean "the record is final"
 TERMINAL_STATUSES = ("done", "failed")
@@ -243,6 +247,11 @@ class ServiceClient:
             payload = self.status(key, wait=hold)
             if payload.get("status") in TERMINAL_STATUSES:
                 return payload
+            if payload.get("status") == ABANDONED:
+                raise ServiceError(
+                    f"job {key} was abandoned by a draining service: it "
+                    "never ran and must be resubmitted"
+                )
             if time.monotonic() >= deadline:
                 raise ServiceError(
                     f"timed out after {timeout:.0f}s waiting for job "

@@ -40,6 +40,10 @@ SUBMISSION_FIELDS = frozenset(
 #: named base configurations overrides are applied on top of
 PRESETS = {"scaled": SystemConfig.scaled, "paper": SystemConfig.paper}
 
+#: the status of a job a draining server left unrun: it has no
+#: record, never will on that server, and must be resubmitted
+ABANDONED = "abandoned"
+
 #: valid SystemConfig override names (computed once)
 _CONFIG_FIELDS = frozenset(
     field.name for field in dataclasses.fields(SystemConfig)

@@ -38,7 +38,9 @@ submissions with 503, requests the engine's
 :class:`~repro.experiments.engine.GracefulDrain`, closes the feed and
 answers every open long-poll with what it would return now; in-flight
 jobs settle to the journal before the pass returns, so a restarted
-server serves them from the store.
+server serves them from the store.  A job the drain will not run (still
+queued, or left unsettled by the pass) reports ``"abandoned"``, so a
+waiting client can resubmit it instead of waiting out the server.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from repro.errors import (
 from repro.experiments.engine import GracefulDrain, JobFeed
 from repro.experiments.engine.executor import ExecutionEngine
 from repro.experiments.engine.job import Job, JobResult
-from repro.service.protocol import job_from_submission
+from repro.service.protocol import ABANDONED, job_from_submission
 from repro.service.store import ResultStore
 
 _REASONS = {
@@ -78,7 +80,8 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: statuses a job entry can report; "done"/"failed" are terminal
+#: statuses a job entry can report; "done"/"failed" are terminal, and
+#: a drain leaves what it will not run ABANDONED
 PENDING_STATUSES = ("queued", "running")
 
 #: seconds a 429 response asks the client to wait before retrying
@@ -293,6 +296,11 @@ class SimulationServer:
         self._emit(
             "drain", None, queued=self._queued_count, running=len(self._fed)
         )
+        while self._pending:  # nothing is fed after a drain
+            entry = self._entries[self._pending.popleft()]
+            if entry.status == "queued":
+                entry.status = ABANDONED
+        self._queued_count = 0
         for topic in list(self._waiters):
             self._wake(topic)  # answer every long-poll with what is now
 
@@ -390,7 +398,7 @@ class SimulationServer:
         for entry in unsettled:
             entry.requeues += 1
             if self._draining:
-                entry.status = "queued"  # abandoned; journal untouched
+                entry.status = ABANDONED  # journal untouched
             elif entry.requeues <= self.policy.max_requeues:
                 entry.status = "queued"
                 self._queued_count += 1

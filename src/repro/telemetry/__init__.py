@@ -1,4 +1,4 @@
-"""Telemetry subsystem: metrics registry, interval series, event tracing.
+"""Telemetry subsystem: interval series and event tracing.
 
 Observability for the interval-based feedback machinery the paper is
 built on.  End-of-run aggregates (:class:`~repro.core.stats.CoreResult`)
@@ -35,27 +35,17 @@ from repro.telemetry.exporters import (
     write_series_jsonl,
 )
 from repro.telemetry.interval import IntervalSeriesRecorder
-from repro.telemetry.registry import (
-    Counter,
-    MetricsRegistry,
-    bind_core_metrics,
-    dram_occupancy,
-)
 from repro.telemetry.session import CoreTelemetry, Telemetry, TelemetryConfig
 from repro.telemetry.tracer import EventTracer, TracingFeedbackCollector
 
 __all__ = [
     "CoreTelemetry",
-    "Counter",
     "EventTracer",
     "IntervalSeriesRecorder",
-    "MetricsRegistry",
     "Telemetry",
     "TelemetryConfig",
     "TracingFeedbackCollector",
-    "bind_core_metrics",
     "chrome_trace",
-    "dram_occupancy",
     "series_path",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -29,9 +29,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.telemetry.registry import dram_occupancy
-
 DecisionTuple = Tuple[str, int, str, float, float, float]
+
+
+def dram_occupancy(dram, now: float) -> int:
+    """In-flight DRAM requests at *now*, without mutating the heap.
+
+    The controller's own ``_occupancy`` lazily pops completed entries;
+    this read-only count keeps sampling strictly side-effect free, so a
+    telemetry-enabled run stays bit-identical to a disabled one.
+    """
+    return sum(1 for completion in dram._in_flight if completion > now)
 
 
 class IntervalSeriesRecorder:

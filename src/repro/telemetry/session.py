@@ -2,8 +2,8 @@
 
 A :class:`Telemetry` session owns one :class:`CoreTelemetry` stream per
 core (``MultiCoreSystem`` runs get disjoint streams keyed by core name).
-Each stream carries a metrics registry, an optional event-trace ring and
-an optional interval-series recorder.
+Each stream carries an optional event-trace ring and an optional
+interval-series recorder.
 
 The overhead contract (enforced by ``benchmarks/
 bench_telemetry_overhead.py`` and the CI perf-smoke budget):
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.telemetry.interval import IntervalSeriesRecorder
-from repro.telemetry.registry import MetricsRegistry, bind_core_metrics
 from repro.telemetry.tracer import (
     DEFAULT_CAPACITY,
     EventTracer,
@@ -59,12 +58,11 @@ class TelemetryConfig:
 
 
 class CoreTelemetry:
-    """One core's telemetry stream (registry + tracer + series)."""
+    """One core's telemetry stream (tracer + series)."""
 
     def __init__(self, name: str, config: TelemetryConfig) -> None:
         self.name = name
         self.config = config
-        self.registry = MetricsRegistry()
         self.tracer: Optional[EventTracer] = (
             EventTracer(config.trace_capacity) if config.trace else None
         )
@@ -100,7 +98,6 @@ class CoreTelemetry:
         this last.
         """
         self.core = core
-        bind_core_metrics(self.registry, core, dram)
         if self.config.series:
             self.series = IntervalSeriesRecorder(
                 core, dram, max_points=self.config.series_max_points

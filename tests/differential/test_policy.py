@@ -9,7 +9,7 @@ Two equalities anchor the refactor:
   pre-policy hard-wired controller, on every engine
   (``tests/goldens/table3_trajectory_*.json``).
 
-* **Cross-engine identity.**  Every other policy (static, pid, qlearn
+* **Cross-engine identity.**  The other policies (static, and qlearn
   replaying a trained table) must agree across reference and fast
   exactly like the rest of the simulator.
 """
@@ -50,7 +50,6 @@ def test_table3_trajectory_carries_real_cases():
 
 @pytest.mark.parametrize("policy,params", [
     ("static", "level=1"),
-    ("pid", ""),
     pytest.param("qlearn", f"q={trained_q()}", id="qlearn-trained"),
 ])
 def test_policies_bit_identical_across_engines(policy, params):

@@ -19,7 +19,6 @@ from repro.experiments.export import FIELDS, result_record
 from repro.policy import (
     ACTIONS,
     FeedbackSignals,
-    PidAccuracyPolicy,
     PolicyThrottle,
     QLearningPolicy,
     StaticLevelPolicy,
@@ -73,10 +72,7 @@ def test_validate_policy_problems():
     assert "policy_params" in validate_policy("qlearn", "")
     assert "policy_params" in validate_policy("qlearn", "epsilon=0.1")
     assert validate_policy("qlearn", f"q={encode_q(zero_table())}") == {}
-    # non-finite values would turn every control value (or Q value) NaN
-    for params in ("kp=nan", "ki=nan", "kd=nan", "target=inf",
-                   "windup=nan", "deadband=nan", "kp=inf,ki=-inf"):
-        assert "policy_params" in validate_policy("pid", params), params
+    # a non-finite table would turn every Q value NaN
     nan_table = "|".join(["nan"] * (N_STATES * N_ACTIONS))
     assert "policy_params" in validate_policy("qlearn", f"q={nan_table}")
 
@@ -89,9 +85,9 @@ def test_config_validation_reports_policy_fields():
     assert "policy_params" in str(err.value)
     # valid selections pass through with_overrides + validate untouched
     config = SystemConfig.scaled().with_overrides(
-        throttle_policy="pid", policy_params="kp=2.0"
+        throttle_policy="static", policy_params="level=1"
     ).validate()
-    assert create_policy(config).name == "pid"
+    assert create_policy(config).name == "static"
 
 
 # -- policy behaviour -------------------------------------------------------
@@ -245,10 +241,11 @@ def test_journal_record_carries_policy_columns():
 def test_export_fields_include_policy_columns():
     assert "policy" in FIELDS and "policy_params" in FIELDS
     record = result_record(
-        "mst", "cdp", _failed_result(), policy="pid", policy_params="kp=2"
+        "mst", "cdp", _failed_result(), policy="static",
+        policy_params="level=1",
     )
-    assert record["policy"] == "pid"
-    assert record["policy_params"] == "kp=2"
+    assert record["policy"] == "static"
+    assert record["policy_params"] == "level=1"
     null_row = result_record("mst", "cdp", _failed_result())
     assert null_row["policy"] is None
 
@@ -266,17 +263,17 @@ def test_store_policy_counts(tmp_path):
     journal = CheckpointJournal(tmp_path / "svc.jsonl")
     store = ResultStore(journal)
     config = SystemConfig.scaled()
-    pid_config = config.with_overrides(throttle_policy="pid")
+    static_config = config.with_overrides(throttle_policy="static")
     records = {
         "a": journal_record(_outcome(config)),
-        "b": journal_record(_outcome(pid_config)),
-        "c": journal_record(_outcome(pid_config)),
+        "b": journal_record(_outcome(static_config)),
+        "c": journal_record(_outcome(static_config)),
     }
     legacy = dict(records["a"])
     del legacy["policy"], legacy["policy_params"]
     records["d"] = legacy
     store._records.update(records)
-    assert store.policy_counts() == {"table3": 1, "pid": 2, "null": 1}
+    assert store.policy_counts() == {"table3": 1, "static": 2, "null": 1}
 
 
 # -- CLI --------------------------------------------------------------------
@@ -313,7 +310,7 @@ def test_cli_policy_flags_reach_the_config(tmp_path):
 
     payload_path = tmp_path / "p.json"
     payload_path.write_text(json.dumps(
-        {"policy": "pid", "policy_params": "kp=2.0"}
+        {"policy": "static", "policy_params": "level=2"}
     ))
 
     class FileArgs:
@@ -324,8 +321,8 @@ def test_cli_policy_flags_reach_the_config(tmp_path):
         policy_file = str(payload_path)
 
     config = _config(FileArgs())
-    assert config.throttle_policy == "pid"
-    assert config.policy_params == "kp=2.0"
+    assert config.throttle_policy == "static"
+    assert config.policy_params == "level=2"
 
 
 def test_cli_run_accepts_policy(capsys):

@@ -9,11 +9,7 @@ the subsystem's determinism story rests on:
   interval;
 * **training-replay invariance**: training on the same recorded series
   twice yields the bit-identical Q table, and the encode/decode params
-  round-trip preserves it exactly;
-* **PID anti-windup**: the integral term stays within ±windup no matter
-  how long the error saturates the actuator, and recovery after a long
-  saturated stretch is immediate (the first surplus interval already
-  commands up, instead of paying down a wound-up integral).
+  round-trip preserves it exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +21,6 @@ from hypothesis import strategies as st
 
 from repro.policy import (
     ACTIONS,
-    FeedbackSignals,
-    PidAccuracyPolicy,
     PolicyThrottle,
     QLearningPolicy,
     StaticLevelPolicy,
@@ -45,13 +39,6 @@ levels = st.integers(min_value=0, max_value=MAX_LEVEL)
 
 #: one randomized interval observation: (coverage, accuracy, rival)
 observations = st.tuples(fractions, fractions, fractions)
-
-
-def signals(owner, cov, acc, rival, level):
-    return FeedbackSignals(
-        owner=owner, coverage=cov, accuracy=acc, rival_coverage=rival,
-        level=level,
-    )
 
 
 class _NullPrefetcher(Prefetcher):
@@ -90,12 +77,11 @@ def _drive(policy, sequence):
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(observations, min_size=1, max_size=25),
-       st.sampled_from(["table3", "static1", "pid", "qlearn"]))
+       st.sampled_from(["table3", "static1", "qlearn"]))
 def test_levels_stay_in_ladder_and_move_one_step(sequence, which):
     policy = {
         "table3": Table3Policy,
         "static1": lambda: StaticLevelPolicy(level=1),
-        "pid": PidAccuracyPolicy,
         "qlearn": lambda: QLearningPolicy(q=trained_q()),
     }[which]()
     for before, after in _drive(policy, sequence):
@@ -141,37 +127,6 @@ def test_training_replay_is_bit_invariant(points):
     assert decode_q(encode_q(first)) == [
         [float(f"{q:.6g}") for q in row] for row in first
     ]
-
-
-# --------------------------------------------------------------------------
-# PID anti-windup
-# --------------------------------------------------------------------------
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=400),
-    st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
-    fractions,
-)
-def test_pid_integral_is_clamped(n_intervals, windup, accuracy):
-    policy = PidAccuracyPolicy(windup=windup)
-    for _ in range(n_intervals):
-        policy.decide(signals("stream", 0.0, accuracy, 0.0, level=0))
-    assert abs(policy.integral("stream")) <= windup + 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=10, max_value=500))
-def test_pid_recovers_immediately_after_saturation(n_starved):
-    """Conditional integration: a long zero-accuracy stretch at the
-    ladder floor must not wind up negative charge — the first
-    high-accuracy interval already commands up."""
-    policy = PidAccuracyPolicy()
-    for _ in range(n_starved):
-        decision = policy.decide(signals("stream", 0.0, 0.0, 0.0, level=0))
-        assert decision.action != "up"
-    recovery = policy.decide(signals("stream", 0.0, 1.0, 0.0, level=0))
-    assert recovery.action == "up"
 
 
 def test_actions_tuple_is_the_policy_contract():

@@ -11,7 +11,6 @@ from repro.experiments.runner import (
     clear_caches,
     profile_benchmark,
     run_benchmark,
-    set_cache_capacity,
 )
 
 CFG = SystemConfig.scaled()
@@ -53,14 +52,6 @@ class TestLruCache:
         assert len(cache) == 0
         assert cache.hits == cache.misses == cache.evictions == 0
 
-    def test_resize_shrinks_with_eviction(self):
-        cache = LruCache(capacity=4)
-        for index in range(4):
-            cache.put(index, index)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert cache.evictions == 2
-
     @pytest.mark.parametrize("capacity", [0, -1, "big"])
     def test_invalid_capacity_rejected(self, capacity):
         with pytest.raises(ConfigError):
@@ -73,7 +64,6 @@ class TestRunnerWiring:
 
     def teardown_method(self):
         clear_caches()
-        set_cache_capacity(128)
 
     def test_caches_are_bounded_lrus(self):
         assert isinstance(runner._PROFILE_CACHE, LruCache)
@@ -117,13 +107,9 @@ class TestRunnerWiring:
                 counters
             )
 
-    def test_set_cache_capacity_applies_to_both(self):
-        set_cache_capacity(3)
-        assert runner._PROFILE_CACHE.capacity == 3
-        assert runner._RESULT_CACHE.capacity == 3
-
-    def test_capacity_one_keeps_only_latest(self):
-        set_cache_capacity(1)
+    def test_capacity_one_keeps_only_latest(self, monkeypatch):
+        monkeypatch.setattr(runner, "_PROFILE_CACHE", LruCache(1))
+        monkeypatch.setattr(runner, "_RESULT_CACHE", LruCache(1))
         first = run_benchmark("mst", "baseline", CFG, input_set="test")
         run_benchmark("health", "baseline", CFG, input_set="test")
         again = run_benchmark("mst", "baseline", CFG, input_set="test")

@@ -591,9 +591,32 @@ class TestGracefulDrain:
             # running job has not settled, the queued one is abandoned
             answers = {key: outcome for key, (_, outcome) in polls.items()}
             assert answers[running]["value"]["status"] == "running"
-            assert answers[queued]["value"]["status"] == "queued"
+            assert answers[queued]["value"]["status"] == "abandoned"
             for outcome in answers.values():
                 assert outcome["at"] - drained < 1.5
+        finally:
+            server.stop()
+        records = CheckpointJournal(server.journal_path).load()
+        assert records[running]["status"] == "ok" and queued not in records
+
+    def test_wait_on_abandoned_job_raises_at_drain(self, tmp_path):
+        # one slot: alpha runs for 2 s, beta waits queued behind it
+        server = ServerUnderTest(tmp_path, delay=2.0, jobs=1)
+        try:
+            running = server.client.submit(ALPHA)["key"]
+            queued = server.client.submit(BETA)["key"]
+            thread, outcome = in_thread(server.client.wait, queued)
+            wait_for_waiters(server, queued)
+            drained = time.monotonic()
+            server.handle.begin_drain()
+            thread.join(10)
+            assert not thread.is_alive(), "wait outlived the drain"
+            error = outcome.get("error")
+            assert isinstance(error, ServiceError), outcome
+            assert "abandoned" in str(error) and queued in str(error)
+            assert outcome["at"] - drained < 1.5
+            jobs = server.client.jobs()
+            assert {j["key"]: j["status"] for j in jobs}[queued] == "abandoned"
         finally:
             server.stop()
         records = CheckpointJournal(server.journal_path).load()

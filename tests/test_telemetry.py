@@ -1,4 +1,4 @@
-"""Telemetry subsystem: registry, tracer, series, exporters, wiring.
+"""Telemetry subsystem: tracer, series, exporters, wiring.
 
 The two invariants everything here circles around:
 
@@ -18,7 +18,6 @@ from repro.core.config import SystemConfig
 from repro.experiments.runner import clear_caches, run_benchmark
 from repro.telemetry import (
     EventTracer,
-    MetricsRegistry,
     Telemetry,
     TelemetryConfig,
     TracingFeedbackCollector,
@@ -56,37 +55,6 @@ def run_with_telemetry(mechanism="ecdp+throttle", benchmark="mst",
         telemetry=telemetry,
     )
     return telemetry, result
-
-
-class TestMetricsRegistry:
-    def test_counter_and_gauge(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("events")
-        counter.inc()
-        counter.inc(2)
-        registry.gauge("depth", lambda: 7)
-        assert registry.sample() == {"events": 3, "depth": 7}
-        assert "events" in registry
-        assert len(registry) == 2
-
-    def test_prefix_sampling(self):
-        registry = MetricsRegistry()
-        registry.gauge("core0.cycles", lambda: 1)
-        registry.gauge("core1.cycles", lambda: 2)
-        assert registry.sample("core0.") == {"core0.cycles": 1}
-
-    def test_core_namespace_bound_after_run(self):
-        telemetry, result = run_with_telemetry()
-        registry = telemetry.stream("core0").registry
-        sample = registry.sample()
-        assert sample["core0.cycles"] == result.cycles
-        assert sample["core0.retired"] == result.retired_instructions
-        assert sample["core0.bus_transfers"] == result.bus_transfers
-        assert (
-            sample["core0.feedback.intervals"] == result.intervals_completed
-        )
-        assert "core0.prefetch.cdp.issued" in sample
-        assert "core0.dram.demand_requests" in sample
 
 
 class TestEventTracer:
