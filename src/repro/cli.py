@@ -14,8 +14,6 @@ Examples::
     python -m repro serve --port 8713 --jobs 4
     python -m repro sweep --server http://127.0.0.1:8713
     python -m repro sweep --backend subprocess --jobs 4
-    python -m repro sweep --backend remote --hosts hosts.toml --jobs 8
-    python -m repro worker --ping
     python -m repro journal verify .repro-checkpoints/sweep-abc.jsonl
     python -m repro cost
 
@@ -273,11 +271,11 @@ def cmd_sweep(args) -> int:
     if args.server:
         # the engine — and with it fault injection, telemetry recording,
         # and the checkpoint journal — lives in the server process
-        if args.backend != "local" or args.hosts:
+        if args.backend != "local":
             raise UsageError(
-                "--backend/--hosts configure the engine, which runs "
+                "--backend configures the engine, which runs "
                 "server-side; start the server with "
-                "`repro serve --backend ... --hosts HOSTS` instead"
+                "`repro serve --backend ...` instead"
             )
         if args.inject_faults:
             raise UsageError(
@@ -352,7 +350,7 @@ def cmd_sweep(args) -> int:
             quarantine=QuarantinePolicy(max_crashes=args.max_crashes),
             fault_plan=fault_plan,
             tracer=tracer,
-            backend=create_backend(args.backend, hosts=args.hosts),
+            backend=create_backend(args.backend),
         )
         try:
             with GracefulDrain() as drain:
@@ -399,10 +397,11 @@ def cmd_sweep(args) -> int:
 
     def cell_series_file(benchmark: str, mechanism: str):
         """Recompute the worker's deterministic series path (if recorded)."""
-        if telemetry_dir is None:
+        outcome = cells.get((benchmark, mechanism))
+        if telemetry_dir is None or outcome is None:
             return None
         path = series_path(telemetry_dir, benchmark, mechanism,
-                           args.input_set)
+                           args.input_set, outcome.job.key())
         return str(path) if path.exists() else None
 
     def cell_policy(benchmark: str, mechanism: str):
@@ -581,7 +580,7 @@ def cmd_serve(args) -> int:
         watchdog=watchdog,
         quarantine=QuarantinePolicy(max_crashes=args.max_crashes),
         fault_plan=fault_plan,
-        backend=create_backend(args.backend, hosts=args.hosts),
+        backend=create_backend(args.backend),
     )
     server = SimulationServer(
         engine,
@@ -601,30 +600,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    """Speak the stdio job protocol — or self-check that this host can."""
-    if args.serve_stdio:
-        from repro.experiments.engine.worker import serve_stdio
+    """Speak the stdio job protocol on stdin/stdout."""
+    from repro.experiments.engine.worker import serve_stdio
 
-        return serve_stdio()
-    # --ping: spawn one worker exactly the way a backend would and
-    # round-trip a health check — the one-command install check for a
-    # prospective remote host
-    from repro.experiments.engine.backends.remote import LOOPBACK_HOST
-    from repro.experiments.engine.backends.stdio import (
-        StdioTransport,
-        child_environment,
-    )
-
-    transport = StdioTransport(
-        LOOPBACK_HOST.worker_argv(), env=child_environment()
-    )
-    try:
-        pong = transport.ping(args.timeout)
-    finally:
-        transport.shutdown()
-    info = {key: pong.get(key) for key in ("host", "pid", "python")}
-    print(json.dumps(info, sort_keys=True))
-    return 0
+    return serve_stdio()
 
 
 def _journal_at(path: str) -> CheckpointJournal:
@@ -952,15 +931,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "result cache without re-execution")
     p.add_argument("--backend", default="local", choices=list(BACKEND_NAMES),
                    help="executor backend: 'local' fork-pool workers "
-                        "(default), 'remote' stdio workers on the hosts "
-                        "in --hosts, 'subprocess' the remote backend "
-                        "over a loopback host of --jobs workers; every "
-                        "backend shares one checkpoint journal, so a "
-                        "sweep can resume on another backend")
-    p.add_argument("--hosts", metavar="FILE", default=None,
-                   help="host inventory (TOML on Python 3.11+, or JSON) "
-                        "for --backend remote: per-host command, python, "
-                        "capacity, tags")
+                        "(default) or 'subprocess', a pool of --jobs "
+                        "persistent stdio workers; both share one "
+                        "checkpoint journal, so a sweep can resume on "
+                        "the other backend")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -1011,8 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="local", choices=list(BACKEND_NAMES),
                    help="executor backend the service's engine dispatches "
                         "through (default local)")
-    p.add_argument("--hosts", metavar="FILE", default=None,
-                   help="host inventory file for --backend remote")
     p.add_argument("--debug", action="store_true",
                    help="print full tracebacks instead of one-line errors")
     p.set_defaults(func=cmd_serve)
@@ -1020,19 +992,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "worker",
         help="run as an executor-backend worker (used by the subprocess "
-             "and remote backends; not normally run by hand)",
+             "backend; not normally run by hand)",
     )
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--serve-stdio", action="store_true",
-                      help="serve the line-delimited JSON job protocol on "
-                           "stdin/stdout until EOF or a shutdown request")
-    mode.add_argument("--ping", action="store_true",
-                      help="spawn one worker the way a backend would and "
-                           "health-check it — verifies this host's "
-                           "install before adding it to a --hosts file")
-    p.add_argument("--timeout", type=float, default=10.0, metavar="SECONDS",
-                   help="--ping: how long to wait for the pong "
-                        "(default 10)")
+    p.add_argument("--serve-stdio", action="store_true", required=True,
+                   help="serve the line-delimited JSON job protocol on "
+                        "stdin/stdout until EOF or a shutdown request")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(

@@ -127,8 +127,8 @@ class BackendError(JobError):
 class BackendConnectError(BackendError):
     """A backend could not reach (or spawn) a worker to run the job.
 
-    Transient: the host may come back, another host may pick the job up,
-    and the retry budget bounds how long the engine keeps trying.
+    Transient: the next dispatch spawns fresh workers, and the retry
+    budget bounds how long the engine keeps trying.
     """
 
     transient = True
@@ -137,9 +137,9 @@ class BackendConnectError(BackendError):
 class HostLostError(BackendError):
     """The host running a job disappeared mid-flight.
 
-    Transient: the job never completed anywhere, so re-running it on a
-    surviving host is always safe — job identity is content-hashed and
-    the journal only records terminal outcomes.
+    Transient: the job never completed anywhere, so re-running it is
+    always safe — job identity is content-hashed and the journal only
+    records terminal outcomes.
     """
 
     transient = True
@@ -154,10 +154,6 @@ class PartitionedAckError(BackendError):
     """
 
     transient = True
-
-
-class HostsFileError(UsageError):
-    """A ``--hosts`` inventory file is malformed or unreadable."""
 
 
 class ServiceError(ReproError):

@@ -44,11 +44,9 @@ Quick tour::
 from repro.experiments.engine.backends import (
     BACKEND_NAMES,
     ExecutorBackend,
-    HostSpec,
     LocalBackend,
-    RemoteBackend,
+    SubprocessBackend,
     create_backend,
-    load_hosts,
 )
 from repro.experiments.engine.checkpoint import (
     CheckpointJournal,
@@ -87,11 +85,9 @@ __all__ = [
     "ExecutionEngine",
     "ExecutorBackend",
     "FAULT_KINDS",
-    "HostSpec",
     "LocalBackend",
-    "RemoteBackend",
+    "SubprocessBackend",
     "create_backend",
-    "load_hosts",
     "FailedResult",
     "FaultPlan",
     "FaultSpec",

@@ -8,7 +8,7 @@ outcome message (or be observed dying).  The split is what makes the
 engine's resilience guarantees backend-independent: the chaos suite
 proves convergence once, and every backend inherits it.
 
-A backend implements five verbs:
+A backend implements three verbs:
 
 * :meth:`ExecutorBackend.submit` — start one attempt, return an
   :class:`AttemptHandle`;
@@ -16,22 +16,19 @@ A backend implements five verbs:
   fed), return the handles that produced an outcome message (updating
   heartbeat times on the rest);
 * :meth:`ExecutorBackend.cancel` — kill one attempt (watchdog/timeout
-  enforcement, drain);
-* :meth:`ExecutorBackend.capacity` — how many attempts may be in flight
-  right now (remote backends shrink this as hosts are lost);
-* :meth:`ExecutorBackend.describe` — a JSON-safe self-description for
-  logs and reports.
+  enforcement, drain).
 
-Outcome messages are exactly the worker-shim wire shape the engine has
-always consumed: ``("ok", result)`` or ``("error", {"type", "message",
-"transient"})`` — so the engine's settle path did not change when
-backends were introduced.
+At most ``slots`` attempts are in flight at once.  Outcome messages are
+exactly the worker-shim wire shape the engine has always consumed:
+``("ok", result)`` or ``("error", {"type", "message", "transient"})`` —
+so the engine's settle path did not change when backends were
+introduced.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -53,10 +50,9 @@ class AttemptHandle:
     started: float = 0.0
     #: monotonic time of the last heartbeat (0.0 = none seen yet)
     last_beat: float = 0.0
-    #: where the attempt runs — hostname for remote backends, None local
+    #: where the attempt runs: "localhost" for the subprocess pool, None
+    #: for the fork pool
     host: Optional[str] = None
-    #: backend-private transport state (pipe, session, request id, ...)
-    transport: object = field(default=None, repr=False)
 
 
 #: an outcome message in the worker-shim wire shape
@@ -66,9 +62,8 @@ Outcome = Tuple[str, object]
 class ExecutorBackend:
     """Transport abstraction: run job attempts *somewhere*."""
 
-    #: registry name ("local", "subprocess", "remote"; the last two are
-    #: both RemoteBackend); provenance columns and the ``dispatch``
-    #: engine event carry it
+    #: registry name ("local" or "subprocess"); provenance columns and
+    #: the ``dispatch`` engine event carry it
     name = "backend"
 
     def __init__(self, slots: Optional[int] = None):
@@ -94,7 +89,7 @@ class ExecutorBackend:
     def close(self) -> None:
         """Release transport resources (worker pools, connections)."""
 
-    # -- the five verbs ----------------------------------------------------
+    # -- the three verbs ---------------------------------------------------
 
     def submit(
         self,
@@ -128,20 +123,12 @@ class ExecutorBackend:
         """Kill one in-flight attempt (idempotent, never raises)."""
         raise NotImplementedError
 
-    def capacity(self) -> int:
-        """How many attempts may be in flight right now."""
-        return self.slots or 1
-
-    def describe(self) -> dict:
-        """JSON-safe description (name, slots, hosts, ...)."""
-        return {"backend": self.name, "slots": self.slots}
-
     def lose_host(self, handle: AttemptHandle) -> None:
         """Deliver an injected host loss for *handle*'s host.
 
-        Default: indistinguishable from cancelling the attempt.  Remote
-        backends also mark the host unhealthy so dispatch routes around
-        it, exactly as a real mid-job host death would.
+        Default: indistinguishable from cancelling the attempt.  The
+        subprocess pool also reaps every other session, exactly as a
+        real loss of the machine's workers would.
         """
         self.cancel(handle)
 
@@ -166,8 +153,9 @@ def worker_reference(worker) -> Tuple[str, Optional[str]]:
     qualname = getattr(worker, "__qualname__", None)
     if not module or not qualname or "<" in qualname:
         raise BackendError(
-            f"worker {worker!r} is not importable by name; distributed "
-            "backends need a module-level function (not a lambda/closure)"
+            f"worker {worker!r} is not importable by name; the "
+            "subprocess backend needs a module-level function (not a "
+            "lambda/closure)"
         )
     try:
         resolved = resolve_worker(f"{module}:{qualname}")
@@ -178,7 +166,7 @@ def worker_reference(worker) -> Tuple[str, Optional[str]]:
     if resolved is not worker:
         raise BackendError(
             f"worker {module}:{qualname} re-imports as a different object; "
-            "distributed backends need a stable module-level function"
+            "the subprocess backend needs a stable module-level function"
         )
     extra = None
     mod = importlib.import_module(module)
@@ -194,7 +182,7 @@ def worker_reference(worker) -> Tuple[str, Optional[str]]:
 def resolve_worker(reference: Optional[str]):
     """The callable named by a ``"module:qualname"`` reference.
 
-    ``None`` resolves to the engine's default worker, so remote hosts
+    ``None`` resolves to the engine's default worker, so stdio workers
     never need the caller's code for ordinary sweeps.
     """
     if reference is None:

@@ -50,13 +50,6 @@ class LocalBackend(ExecutorBackend):
         super().bind(worker, emit, slots)
         self._worker = worker
 
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "slots": self.slots,
-            "context": self.context,
-        }
-
     # -- protocol ----------------------------------------------------------
 
     def submit(

@@ -1,21 +1,27 @@
-"""Line-delimited JSON transport to ``repro worker --serve-stdio``.
+"""The ``subprocess`` backend: a pool of ``repro worker --serve-stdio``.
 
-A :class:`StdioTransport` owns one persistent worker process, spawned
-from a host's argv (plain ``python`` for the loopback host behind the
-``subprocess`` backend, ``ssh host python`` for an inventory host), and
-speaks the protocol documented in :mod:`repro.experiments.engine.worker`:
+A :class:`StdioTransport` owns one persistent worker process, this
+interpreter running ``-m repro worker --serve-stdio``, and speaks the
+line-delimited JSON protocol documented in
+:mod:`repro.experiments.engine.worker`:
 
 * requests down stdin: ``{"op": "run"|"ping"|"shutdown", "id": N, ...}``
 * responses up stdout: ``{"id": N, "event":
   "heartbeat"|"outcome"|"pong"|...}``
 
-Jobs cross the boundary as *submissions* (the service's wire format), so
-the far side recomputes the content-hashed job key and the dispatching
-backend (:mod:`repro.experiments.engine.backends.remote`) verifies it.
-Worker callables cross as ``"module:qualname"`` references.
+:class:`SubprocessBackend` keeps up to ``slots`` such sessions on this
+machine, one job in flight per session.  When no session is idle it
+starts every free slot at once, so the interpreters import in parallel,
+and each session answers a ping before its first job.  A failed spawn or
+ping reaps every session and emits ``host-down``; the dispatch settles
+as a transient :class:`~repro.errors.BackendConnectError`, and the next
+one respawns at once.
 
-One job is in flight per transport at a time; EOF on the child's stdout
-maps to the same ``WorkerCrashError`` a fork-pool worker death produces.
+Jobs cross the boundary as *submissions* (the service's wire format), so
+the worker recomputes the content-hashed job key and the backend checks
+it.  Worker callables cross as ``"module:qualname"`` references.  EOF on
+a worker's stdout maps to the same ``WorkerCrashError`` a fork-pool
+worker death produces.
 """
 
 from __future__ import annotations
@@ -24,15 +30,22 @@ import json
 import os
 import select
 import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BackendConnectError
-from repro.experiments.engine.backends.base import AttemptHandle
+from repro.errors import BackendConnectError, BackendError
+from repro.experiments.engine.backends.base import (
+    AttemptHandle,
+    ExecutorBackend,
+    Outcome,
+    worker_reference,
+)
+from repro.experiments.engine.job import Job, ResultSnapshot
 
-#: how long ``ping`` waits for ``pong`` before declaring a host unreachable
+#: how long ``ping`` waits for ``pong`` before declaring a worker dead
 DEFAULT_PING_TIMEOUT = 10.0
 
 _READ_CHUNK = 65536
@@ -71,10 +84,8 @@ class StdioTransport:
         self,
         argv: Sequence[str],
         env: Optional[Dict[str, str]] = None,
-        host: Optional[str] = None,
     ):
         self.argv = list(argv)
-        self.host = host
         self.busy: Optional[AttemptHandle] = None
         #: answered a health-check ping (required before its first job)
         self.checked = False
@@ -116,7 +127,7 @@ class StdioTransport:
             self.process.stdin.flush()
         except (OSError, ValueError) as error:
             raise BackendConnectError(
-                f"worker pipe broken ({self.describe()}): {error}"
+                f"worker pipe broken (pid {self.process.pid}): {error}"
             ) from error
 
     def read_messages(self) -> Tuple[List[dict], bool]:
@@ -158,7 +169,7 @@ class StdioTransport:
             if remaining <= 0:
                 raise BackendConnectError(
                     f"worker did not answer ping within {timeout:g}s "
-                    f"({self.describe()})"
+                    f"(pid {self.process.pid})"
                 )
             select.select([self.fileno()], [], [], remaining)
             messages, eof = self.read_messages()
@@ -168,7 +179,8 @@ class StdioTransport:
                     return message
             if eof:
                 raise BackendConnectError(
-                    f"worker exited during health check ({self.describe()})"
+                    "worker exited during health check "
+                    f"(pid {self.process.pid})"
                 )
 
     def shutdown(self) -> None:
@@ -197,10 +209,6 @@ class StdioTransport:
             except Exception:
                 pass
 
-    def describe(self) -> str:
-        where = f" on {self.host}" if self.host else ""
-        return f"pid {self.process.pid}{where}"
-
 
 @dataclass
 class StdioHandle(AttemptHandle):
@@ -208,3 +216,228 @@ class StdioHandle(AttemptHandle):
 
     request_id: int = 0
     session: StdioTransport = field(default=None, repr=False)
+
+
+class SubprocessBackend(ExecutorBackend):
+    """Up to ``slots`` stdio worker sessions on this machine."""
+
+    name = "subprocess"
+    #: the ``host`` provenance column of every attempt
+    host = "localhost"
+    #: how a session starts: this interpreter, no shell
+    worker_argv = (sys.executable, "-m", "repro", "worker", "--serve-stdio")
+
+    def __init__(self, slots: Optional[int] = None):
+        super().__init__(slots)
+        self._transports: List[StdioTransport] = []
+        self._worker_ref: Optional[str] = None
+        self._extra_paths: List[str] = []
+
+    def bind(self, worker, emit, slots: int) -> None:
+        super().bind(worker, emit, slots)
+        from repro.experiments.engine.worker import default_worker
+
+        if worker is not default_worker:
+            # fails fast (BackendError) for lambdas/closures a fresh
+            # interpreter could never re-import
+            self._worker_ref, extra = worker_reference(worker)
+            self._extra_paths = [extra] if extra else []
+
+    def _retire(self, transport: StdioTransport) -> None:
+        transport.kill()
+        if transport in self._transports:
+            self._transports.remove(transport)
+
+    def _reap_all(self, why: str) -> None:
+        """Lose every session, as if this machine's workers all died."""
+        self._emit("host-down", self.host, reason=why)
+        for transport in list(self._transports):
+            self._retire(transport)
+
+    def _acquire(self) -> StdioTransport:
+        idle = [
+            t for t in self._transports if t.busy is None and t.alive
+        ]
+        try:
+            if not idle:
+                # start every free slot at once, so the workers'
+                # interpreters import in parallel rather than one ping
+                # after another
+                env = child_environment(self._extra_paths)
+                busy = sum(t.busy is not None for t in self._transports)
+                for _ in range(self.slots - busy):
+                    transport = StdioTransport(self.worker_argv, env)
+                    self._transports.append(transport)
+                    idle.append(transport)
+            if not idle[0].checked:
+                idle[0].ping()
+        except BackendConnectError as error:
+            # reaps every session, the unhealthy one included
+            self._reap_all(str(error))
+            raise
+        return idle[0]
+
+    # -- protocol ----------------------------------------------------------
+
+    def submit(
+        self,
+        job: Job,
+        attempt: int,
+        fault=None,
+        heartbeat: Optional[float] = None,
+    ) -> StdioHandle:
+        from repro.service.protocol import submission_from_job
+
+        transport = self._acquire()
+        rid = transport.next_id()
+        request = {
+            "op": "run",
+            "id": rid,
+            "job": submission_from_job(job),
+            "worker": self._worker_ref,
+            "fault": fault.to_dict() if fault is not None else None,
+            "heartbeat": heartbeat,
+            "telemetry_dir": job.telemetry_dir,
+            "artifact_dir": job.artifact_dir,
+            "record_trace": job.record_trace,
+        }
+        try:
+            transport.send(request)
+        except BackendError:
+            self._retire(transport)
+            raise
+        handle = StdioHandle(
+            job=job,
+            attempt=attempt,
+            started=time.monotonic(),
+            host=self.host,
+            request_id=rid,
+            session=transport,
+        )
+        transport.busy = handle
+        return handle
+
+    def poll(
+        self,
+        handles: Sequence[StdioHandle],
+        timeout: float,
+        wake: Optional[int] = None,
+    ) -> List[Tuple[StdioHandle, Outcome]]:
+        readable = [
+            handle.session.fileno()
+            for handle in handles
+            if handle.session is not None and handle.session.alive
+        ]
+        if wake is not None:
+            readable.append(wake)
+        if readable and timeout > 0:
+            try:
+                select.select(readable, [], [], timeout)
+            except (OSError, ValueError):
+                pass  # a raced-dead fd; the per-handle scan sorts it out
+        elif not handles and timeout > 0:
+            time.sleep(timeout)
+        settled: List[Tuple[StdioHandle, Outcome]] = []
+        for handle in handles:
+            outcome = self._poll_one(handle)
+            if outcome is not None:
+                settled.append((handle, outcome))
+        return settled
+
+    def cancel(self, handle: StdioHandle) -> None:
+        transport = handle.session
+        if transport is None:
+            return
+        # the job runs *in* the worker process: killing the attempt is
+        # killing the transport (a fresh one respawns for the next job)
+        transport.busy = None
+        handle.session = None
+        self._retire(transport)
+
+    def lose_host(self, handle: StdioHandle) -> None:
+        """A mid-job machine loss: every session goes, not just this one."""
+        self.cancel(handle)
+        self._reap_all("lost mid-job")
+
+    def close(self) -> None:
+        for transport in list(self._transports):
+            transport.shutdown()
+        self._transports.clear()
+
+    # -- outcome decoding --------------------------------------------------
+
+    def _poll_one(self, handle: StdioHandle) -> Optional[Outcome]:
+        transport = handle.session
+        if transport is None:
+            return None
+        messages, eof = transport.read_messages()
+        outcome: Optional[Outcome] = None
+        for message in messages:
+            if message.get("id") != handle.request_id:
+                continue  # a stale beat from a cancelled predecessor
+            event = message.get("event")
+            if event == "heartbeat":
+                handle.last_beat = time.monotonic()
+            elif event == "outcome" and outcome is None:
+                outcome = self._decode_outcome(handle, message)
+            elif event == "error" and outcome is None:
+                outcome = (
+                    "error",
+                    {
+                        "type": "BackendError",
+                        "message": (
+                            f"worker rejected request: "
+                            f"{message.get('error')}"
+                        ),
+                        "transient": False,
+                    },
+                )
+        if outcome is not None:
+            transport.busy = None
+            handle.session = None
+            return outcome
+        if eof or not transport.alive:
+            exitcode = transport.process.poll()
+            transport.busy = None
+            handle.session = None
+            self._retire(transport)
+            return (
+                "error",
+                {
+                    "type": "WorkerCrashError",
+                    "message": (
+                        "worker died without a result "
+                        f"(exit code {exitcode})"
+                    ),
+                    "transient": True,
+                },
+            )
+        return None
+
+    @staticmethod
+    def _decode_outcome(handle: StdioHandle, message: dict) -> Outcome:
+        if message.get("status") == "ok":
+            key = message.get("key")
+            if key is not None and key != handle.job.key():
+                return (
+                    "error",
+                    {
+                        "type": "BackendError",
+                        "message": (
+                            f"identity skew: the worker computed job key "
+                            f"{key} for {handle.job.label} (expected "
+                            f"{handle.job.key()}); check that the worker "
+                            "imports the same repro sources"
+                        ),
+                        "transient": False,
+                    },
+                )
+            return ("ok", ResultSnapshot(message.get("metrics") or {}))
+        error = message.get("error")
+        if not isinstance(error, dict):
+            error = {
+                "type": "JobError",
+                "message": f"malformed outcome: {message!r}",
+                "transient": False,
+            }
+        return ("error", error)

@@ -4,15 +4,14 @@ Scheduling *policy* lives here; the *transport* that physically runs an
 attempt is a pluggable :class:`~repro.experiments.engine.backends.
 ExecutorBackend` — the default :class:`~repro.experiments.engine.
 backends.LocalBackend` forks a worker process per attempt (today's
-behavior, bit-identical), and the ``remote`` backend drives persistent
-``repro worker --serve-stdio`` interpreters on other machines over ssh;
-``subprocess`` is that remote backend over one loopback host on this
+behavior, bit-identical), and the ``subprocess`` backend drives a pool
+of persistent ``repro worker --serve-stdio`` interpreters on this
 machine.  Whatever carries the attempt, every failure shape lands in
 the same settle path:
 
 * the worker reports — ``("ok", result)`` or ``("error", info)``;
-* the worker dies silently (segfault, ``os._exit``, OOM kill, dead ssh
-  connection) → :class:`WorkerCrashError`;
+* the worker dies silently (segfault, ``os._exit``, OOM kill)
+  → :class:`WorkerCrashError`;
 * the worker exceeds its wall-clock deadline → cancelled →
   :class:`JobTimeoutError`;
 * under a :class:`~repro.experiments.engine.supervise.WatchdogPolicy`,
@@ -396,7 +395,7 @@ class ExecutionEngine:
     def _launch(self, state: _Pass) -> None:
         pending, running = state.pending, state.running
         for _ in range(len(pending)):
-            if len(running) >= self.backend.capacity():
+            if len(running) >= self.backend.slots:
                 return
             now = time.monotonic()
             entry = pending.popleft()
@@ -512,10 +511,6 @@ class ExecutionEngine:
                 delay = wake - time.monotonic()
                 if delay > 0:  # everything is backing off
                     feed.wait(min(delay, _MAX_TICK))
-                elif self.backend.capacity() <= 0:
-                    # nowhere to launch (every host lost): idle a tick
-                    # while health cooldowns run down
-                    feed.wait(_MAX_TICK / 4)
             return
         settled: List[Tuple[_Running, tuple]] = []
         polling: List[_Running] = []
@@ -525,7 +520,7 @@ class ExecutionEngine:
                 and live.backend_fault.kind == "host-loss"
             ):
                 # the host dies mid-job: kill the attempt through the
-                # backend (remote backends also mark the host lost)
+                # backend (the subprocess pool loses every session)
                 self.backend.lose_host(live.handle)
                 self._emit(
                     "host-lost",

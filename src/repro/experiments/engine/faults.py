@@ -19,8 +19,8 @@ them at the two places a sweep can break:
   :class:`~repro.experiments.engine.backends.ExecutorBackend` protocol —
   a dispatch that never reaches a worker, a host killed mid-flight, a
   result whose acknowledgement the partition ate.  They attack the
-  *transport*, so the same plan exercises local pools, subprocess pools,
-  and remote hosts identically.
+  *transport*, so the same plan exercises the fork pool and the
+  subprocess pool identically.
 
 Every fault fires at most once per (fault, job, attempt) coordinate, so
 a plan is idempotent within a run; plans serialize to JSON

@@ -149,12 +149,11 @@ class JobResult:
     crashes: int = 0
     #: True when this outcome was replayed from a checkpoint journal
     resumed: bool = False
-    #: which executor backend ran the job ("local", "subprocess" — the
-    #: remote backend over its loopback host — or "remote"); None for
-    #: results rehydrated from pre-backend journals
+    #: which executor backend ran the job ("local" or "subprocess");
+    #: None for results rehydrated from pre-backend journals
     executor: Optional[str] = None
-    #: host the successful attempt ran on (its inventory name, or
-    #: "localhost" under subprocess; None local)
+    #: host the successful attempt ran on ("localhost" under
+    #: subprocess; None local)
     host: Optional[str] = None
     #: seconds the job sat queued beyond scheduled retry backoff
     queue_seconds: Optional[float] = None

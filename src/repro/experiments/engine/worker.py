@@ -43,8 +43,8 @@ def default_worker(job: Job) -> Any:
 
     When the job carries a ``telemetry_dir``, the run records the
     per-interval series and persists it beside the sweep's checkpoint
-    journal (one ``<benchmark>-<mechanism>-<input_set>.series.jsonl``
-    per cell — the path is deterministic via
+    journal (one ``<benchmark>-<mechanism>-<input_set>-<key>.series.jsonl``
+    per job — the path is deterministic via
     :func:`repro.telemetry.series_path`, so exporters can recompute it).
     With an ``artifact_dir``, the run shares traces and profiles through
     that :class:`~repro.workloads.artifacts.ArtifactStore`, and records a
@@ -80,7 +80,11 @@ def default_worker(job: Job) -> Any:
 
         Path(job.telemetry_dir).mkdir(parents=True, exist_ok=True)
         path = series_path(
-            job.telemetry_dir, job.benchmark, job.mechanism, job.input_set
+            job.telemetry_dir,
+            job.benchmark,
+            job.mechanism,
+            job.input_set,
+            job.key(),
         )
         write_series_jsonl(telemetry, path)
     return result
@@ -166,12 +170,11 @@ def _send(conn, message, lock=None, stop_heartbeat=None) -> None:
         pass
 
 
-# -- stdio serving (subprocess/remote backends) ------------------------------
+# -- stdio serving (subprocess backend) --------------------------------------
 #
 # `repro worker --serve-stdio` turns this process into a persistent job
 # server speaking line-delimited JSON on stdin/stdout: the child end of
-# the subprocess backend's pipes, and (through ssh) of the remote
-# backend's connections.  One request shape per line:
+# the subprocess backend's pipes.  One request shape per line:
 #
 #     {"op": "ping", "id": N}
 #     {"op": "run",  "id": N, "job": <submission>, "worker": "mod:qual",
@@ -185,7 +188,7 @@ def _send(conn, message, lock=None, stop_heartbeat=None) -> None:
 # that spawned them.  Job identity crosses the wire as a *submission*
 # (preset + config overrides, exactly the service's format) and the
 # outcome echoes the recomputed job key — the parent rejects a mismatch,
-# which catches version skew between dispatching and executing hosts.
+# which catches skew between the dispatcher's sources and the worker's.
 
 
 def serve_stdio(stdin=None, stdout=None) -> int:

@@ -87,6 +87,20 @@ PENDING_STATUSES = ("queued", "running")
 #: seconds a 429 response asks the client to wait before retrying
 RETRY_AFTER = 0.2
 
+#: times an unsettled job re-enters the queue (engine abort faults)
+#: before the service fails it
+MAX_REQUEUES = 3
+
+#: request body cap (bytes)
+MAX_BODY_BYTES = 1 << 20
+
+#: ceiling on the ?wait= long-polls of GET /events and GET /jobs/<key>
+#: (seconds)
+MAX_EVENT_WAIT = 30.0
+
+#: per-connection read deadline (seconds)
+REQUEST_TIMEOUT = 10.0
+
 #: how often a GET /events long-poll looks for new rows (seconds); engine
 #: rows arrive from the engine's thread, which does not wake it
 _EVENT_POLL = 0.05
@@ -103,16 +117,6 @@ class ServicePolicy:
     max_queue: int = 64
     #: distinct pending jobs one client may have before 429
     max_pending_per_client: int = 16
-    #: times an unsettled job re-enters the queue (engine abort faults)
-    #: before the service fails it
-    max_requeues: int = 3
-    #: request body cap (bytes)
-    max_body_bytes: int = 1 << 20
-    #: ceiling on the ?wait= long-polls of GET /events and
-    #: GET /jobs/<key> (seconds)
-    max_event_wait: float = 30.0
-    #: per-connection read deadline (seconds)
-    request_timeout: float = 10.0
 
 
 class EngineEventLog:
@@ -313,7 +317,7 @@ class SimulationServer:
             self._server.close()
             if self._answering:  # let requests in hand get their answer
                 await asyncio.wait(
-                    set(self._answering), timeout=self.policy.request_timeout
+                    set(self._answering), timeout=REQUEST_TIMEOUT
                 )
             await self._server.wait_closed()
             self._server = None
@@ -399,7 +403,7 @@ class SimulationServer:
             entry.requeues += 1
             if self._draining:
                 entry.status = ABANDONED  # journal untouched
-            elif entry.requeues <= self.policy.max_requeues:
+            elif entry.requeues <= MAX_REQUEUES:
                 entry.status = "queued"
                 self._queued_count += 1
                 requeued.append(entry.key)
@@ -566,7 +570,7 @@ class SimulationServer:
             try:
                 request = await asyncio.wait_for(
                     self._read_request(reader),
-                    timeout=self.policy.request_timeout,
+                    timeout=REQUEST_TIMEOUT,
                 )
             except (asyncio.TimeoutError, TimeoutError):
                 return
@@ -625,10 +629,10 @@ class SimulationServer:
             length = -1
         if length < 0:
             raise _BadRequest(400, f"malformed Content-Length {declared!r}")
-        if length > self.policy.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise _BadRequest(
                 413,
-                f"request body exceeds {self.policy.max_body_bytes} bytes",
+                f"request body exceeds {MAX_BODY_BYTES} bytes",
             )
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
@@ -728,7 +732,7 @@ class SimulationServer:
     def _wait_seconds(self, query) -> float:
         """A long-poll's ``?wait=`` in seconds, capped (ValueError if bad)."""
         wait = float(query.get("wait", "0"))
-        return max(0.0, min(wait, self.policy.max_event_wait))
+        return max(0.0, min(wait, MAX_EVENT_WAIT))
 
     async def _hold(self, topic: str, timeout: float) -> None:
         """Sleep up to *timeout* seconds, or until *topic* is woken."""
@@ -824,7 +828,7 @@ class SimulationServer:
             mechanism = record.get("mechanism")
             input_set = record.get("input_set", "ref")
         path = series_path(
-            self.telemetry_dir, benchmark, mechanism, input_set
+            self.telemetry_dir, benchmark, mechanism, input_set, key
         )
         if not path.exists():
             return 404, {

@@ -272,10 +272,16 @@ def validate_chrome_trace(payload_or_path) -> List[str]:
 
 
 def series_path(directory: PathLike, benchmark: str, mechanism: str,
-                input_set: str) -> Path:
-    """Canonical per-cell series file beside a sweep's checkpoint journal."""
+                input_set: str, key: str) -> Path:
+    """Canonical per-job series file beside a sweep's checkpoint journal.
+
+    *key* is the job's content hash, so two jobs of one cell that differ
+    only in config or profile input write two files.
+    """
     slug = re.sub(
-        r"[^A-Za-z0-9._+-]+", "_", f"{benchmark}-{mechanism}-{input_set}"
+        r"[^A-Za-z0-9._+-]+",
+        "_",
+        f"{benchmark}-{mechanism}-{input_set}-{key}",
     )
     return Path(directory) / f"{slug}.series.jsonl"
 

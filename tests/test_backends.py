@@ -11,16 +11,14 @@ functions a fresh interpreter can re-import.
 
 import io
 import json
-import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
 from repro.errors import (
+    BackendConnectError,
     BackendError,
-    HostsFileError,
     ServiceBusyError,
     SweepInterrupted,
     UsageError,
@@ -39,12 +37,11 @@ from repro.experiments.engine import (
     journal_record,
 )
 from repro.experiments.engine.backends import (
-    HostSpec,
     LocalBackend,
-    RemoteBackend,
-    hosts_from_dict,
-    load_hosts,
+    StdioTransport,
+    SubprocessBackend,
     resolve_worker,
+    stdio,
     worker_reference,
 )
 from repro.experiments.engine.worker import serve_stdio
@@ -92,43 +89,28 @@ def content_hashes(journal: CheckpointJournal):
 
 class TestBackendFactory:
     def test_catalog(self):
-        assert BACKEND_NAMES == ("local", "subprocess", "remote")
+        assert BACKEND_NAMES == ("local", "subprocess")
 
     def test_names_construct(self):
         assert isinstance(create_backend("local"), LocalBackend)
         subprocess_backend = create_backend("subprocess")
-        assert isinstance(subprocess_backend, RemoteBackend)
+        assert isinstance(subprocess_backend, SubprocessBackend)
         assert subprocess_backend.name == "subprocess"
-        remote = create_backend("remote", hosts=[HostSpec("a")])
-        assert isinstance(remote, RemoteBackend)
-        assert remote.name == "remote"
 
     def test_subprocess_is_one_loopback_host_sized_by_jobs(self):
         backend = create_backend("subprocess")
         backend.bind(default_worker, lambda kind, name, **args: None, 3)
         try:
             assert backend.name == "subprocess"
-            (host,) = backend.hosts
-            assert host.command == ()
-            assert host.python == sys.executable
-            assert host.capacity == 3
-            # zero cooldown: a lost loopback host is back at once
-            backend._mark_lost(host, "test takedown")
-            assert backend.capacity() == 3
+            assert backend.host == "localhost"
+            assert backend.worker_argv[0] == sys.executable
+            assert backend.slots == 3
         finally:
             backend.close()
 
     def test_unknown_backend_is_a_usage_error(self):
         with pytest.raises(UsageError, match="unknown backend"):
             create_backend("carrier-pigeon")
-
-    def test_remote_requires_hosts(self):
-        with pytest.raises(UsageError, match="--hosts"):
-            create_backend("remote")
-
-    def test_hosts_only_apply_to_remote(self):
-        with pytest.raises(UsageError, match="--backend remote"):
-            create_backend("local", hosts=[HostSpec("a")])
 
 
 class TestWorkerReference:
@@ -146,68 +128,78 @@ class TestWorkerReference:
             worker_reference(lambda job: None)
 
 
-class TestHostsFiles:
-    def test_json_hosts_file(self, tmp_path):
-        path = tmp_path / "hosts.json"
-        path.write_text(json.dumps({
-            "hosts": {
-                "zeta": {"capacity": 2, "tags": ["fast"]},
-                "alpha": {"python": "python3.11"},
-            }
-        }))
-        hosts = load_hosts(path)
-        # deterministic order: sorted by name (sticky dispatch depends
-        # on a stable inventory order)
-        assert [h.name for h in hosts] == ["alpha", "zeta"]
-        assert hosts[1].capacity == 2
-        assert hosts[1].tags == ("fast",)
-        assert hosts[0].python == "python3.11"
-        # no explicit command -> ssh-style transport to the host name
-        assert hosts[0].worker_argv()[0] == "ssh"
-        # ... with the name as one argument, spaces and all
-        (spaced,) = hosts_from_dict({"hosts": {"gpu box": {}}})
-        assert spaced.worker_argv()[:2] == ["ssh", "gpu box"]
+class TestSubprocessPool:
+    """The stdio pool's session lifecycle, with real worker processes."""
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="tomllib is 3.11+"
-    )
-    def test_toml_hosts_file(self, tmp_path):
-        path = tmp_path / "hosts.toml"
-        path.write_text(
-            '[hosts.one]\ncapacity = 3\n\n'
-            '[hosts.two]\npython = "python3"\n'
-        )
-        hosts = load_hosts(path)
-        assert [h.name for h in hosts] == ["one", "two"]
-        assert hosts[0].capacity == 3
-
-    def test_toml_inventory_without_tomllib_points_at_json(
+    def test_free_slots_start_before_the_first_ping(
         self, tmp_path, monkeypatch
     ):
-        # a None entry fails `import tomllib` on any interpreter, as a
-        # missing module does on Python 3.10
-        monkeypatch.setitem(sys.modules, "tomllib", None)
-        path = tmp_path / "hosts.toml"
-        path.write_text('[hosts.one]\ncapacity = 3\n')
-        with pytest.raises(HostsFileError, match="JSON form"):
-            load_hosts(path)
+        order = []
 
-    def test_malformed_hosts_reject(self, tmp_path):
-        for payload in (
-            {},  # no hosts table
-            {"hosts": {}},  # empty inventory
-            {"hosts": {"a": {"capacity": 0}}},  # capacity must be >= 1
-            {"hosts": {"a": {"flavour": "salt"}}},  # unknown field
-            {"hosts": {"a": {"command": 7}}},  # command not str/list
-            {"hosts": {"a": {"command": "ssh 'node1"}}},  # unclosed quote
-            {"hosts": {"": {}}},  # empty name: bare `ssh python3 ...`
-        ):
-            with pytest.raises(HostsFileError):
-                hosts_from_dict(payload)
+        class RecordingTransport(StdioTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                order.append("spawn")
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(HostsFileError):
-            load_hosts(tmp_path / "nope.json")
+            def ping(self, *args, **kwargs):
+                order.append("ping")
+                return super().ping(*args, **kwargs)
+
+        monkeypatch.setattr(stdio, "StdioTransport", RecordingTransport)
+        jobs = [Job(f"b{i}", "m", input_set="test") for i in range(2)]
+        engine = make_engine(tmp_path, create_backend("subprocess"))
+        try:
+            report = engine.run(jobs)
+        finally:
+            engine.close()
+        assert report.exit_code == 0
+        # both workers import in parallel, and each still answers a
+        # ping before its first job
+        assert order == ["spawn", "spawn", "ping", "ping"]
+
+    def test_failed_health_check_reaps_the_worker(self, monkeypatch):
+        spawned = []
+        events = []
+
+        class RecordingTransport(StdioTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(stdio, "StdioTransport", RecordingTransport)
+        # `false` exits before it can answer the health-check ping
+        monkeypatch.setattr(SubprocessBackend, "worker_argv", ("false",))
+        backend = create_backend("subprocess")
+        backend.bind(
+            default_worker,
+            lambda kind, name, **args: events.append(kind),
+            1,
+        )
+        try:
+            with pytest.raises(BackendConnectError):
+                backend.submit(Job("b0", "m", input_set="test"), 1)
+        finally:
+            backend.close()
+        assert events == ["host-down"]
+        (transport,) = spawned
+        assert transport.process.returncode is not None
+        assert transport.process.stdin.closed
+        assert transport.process.stdout.closed
+
+    def test_all_hosts_dead_burns_retry_budget_and_fails(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(SubprocessBackend, "worker_argv", ("false",))
+        engine = make_engine(tmp_path, create_backend("subprocess"), jobs=1)
+        try:
+            report = engine.run([Job("b0", "m", input_set="test")])
+        finally:
+            engine.close()
+        assert report.exit_code == 1
+        failure = report.failures[0]
+        assert failure.failure.error_type == "BackendConnectError"
+        # the bounded retry budget is what guarantees termination
+        assert failure.attempts == FAST_RETRY.max_attempts
 
 
 class TestCrossBackendDifferential:
@@ -461,23 +453,6 @@ class TestStdioProtocol:
         out = io.StringIO()
         assert serve_stdio(stdin=io.StringIO(""), stdout=out) == 0
         assert out.getvalue() == ""
-
-    def test_worker_ping_cli(self):
-        from repro.experiments.engine.backends.stdio import (
-            child_environment,
-        )
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "worker", "--ping"],
-            capture_output=True, text=True, timeout=60,
-            env=child_environment(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        info = json.loads(proc.stdout)
-        assert info["python"].startswith(
-            f"{sys.version_info[0]}.{sys.version_info[1]}"
-        )
-        assert isinstance(info["pid"], int)
 
 
 class TestClientBusyRetry:

@@ -679,6 +679,40 @@ class TestSweepClient:
             server.stop()
 
 
+class TestTelemetrySeries:
+    def test_series_is_named_after_the_job_not_the_cell(self, tmp_path):
+        # two submissions of one (benchmark, mechanism, input set) that
+        # differ only in config are two jobs, with two series
+        series_dir = tmp_path / "series"
+        engine = ExecutionEngine(
+            jobs=2,
+            checkpoint=CheckpointJournal(tmp_path / "svc.jsonl"),
+            retry=FAST_RETRY,
+        )
+        handle = start_server_thread(engine, telemetry_dir=str(series_dir))
+        client = ServiceClient(handle.url, client_id="test")
+        cell = {"benchmark": "mst", "mechanism": "cdp+throttle",
+                "input_set": "test"}
+        small_l2 = dict(cell, config={"l2_size": 8192,
+                                      "interval_evictions": 64})
+        try:
+            keys = [client.submit(p)["key"] for p in (cell, small_l2)]
+            for key in keys:
+                assert client.wait(key, timeout=60.0)["status"] == "done"
+            bodies = [
+                urllib.request.urlopen(
+                    f"{handle.url}/jobs/{key}/series", timeout=30
+                ).read()
+                for key in keys
+            ]
+        finally:
+            handle.stop()
+            engine.close()
+        assert all(bodies)
+        assert bodies[0] != bodies[1]
+        assert len(list(series_dir.glob("*.series.jsonl"))) == 2
+
+
 class TestProtocolRoundTrip:
     def test_submission_round_trips_to_same_key(self):
         job = job_from_submission(

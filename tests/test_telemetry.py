@@ -287,10 +287,10 @@ class TestExporters:
         assert any(name.startswith("level ") for name in counters)
 
     def test_series_path_slug(self, tmp_path):
-        path = series_path(tmp_path, "mst", "ecdp+throttle", "test")
+        path = series_path(tmp_path, "mst", "ecdp+throttle", "test", "0a1b")
         assert path.parent == tmp_path
-        assert path.name == "mst-ecdp+throttle-test.series.jsonl"
-        weird = series_path(tmp_path, "a/b", "m:1", "x")
+        assert path.name == "mst-ecdp+throttle-test-0a1b.series.jsonl"
+        weird = series_path(tmp_path, "a/b", "m:1", "x", "0a1b")
         assert "/" not in weird.name and ":" not in weird.name
 
 
