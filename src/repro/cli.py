@@ -49,11 +49,13 @@ from repro.experiments.engine import (
     GracefulDrain,
     Job,
     JobFailure,
+    JobResult,
     QuarantinePolicy,
     RetryPolicy,
     WatchdogPolicy,
     create_backend,
     is_failed,
+    journal_record,
 )
 from repro.experiments.metrics import (
     geomean,
@@ -61,7 +63,7 @@ from repro.experiments.metrics import (
     total_bus_traffic_per_ki,
     weighted_speedup,
 )
-from repro.experiments.export import result_record, write_csv, write_json
+from repro.experiments.export import export_row, write_csv, write_json
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
     profile_benchmark,
@@ -244,6 +246,34 @@ def _check_options(command: str, problems: dict) -> None:
         raise UsageError(f"invalid {command} options: {details}")
 
 
+def _build_engine(args, journal, tracer=None) -> ExecutionEngine:
+    """The engine the shared options describe (see _engine_options)."""
+    fault_plan = None
+    if args.inject_faults:
+        fault_plan = FaultPlan.load(args.inject_faults)
+        print(
+            f"chaos: injecting {len(fault_plan)} fault(s) "
+            f"from {args.inject_faults}",
+            file=sys.stderr,
+        )
+    watchdog = None
+    if args.no_progress_timeout is not None:
+        watchdog = WatchdogPolicy(
+            no_progress_timeout=args.no_progress_timeout
+        )
+    return ExecutionEngine(
+        jobs=args.jobs,
+        timeout=args.timeout,
+        retry=RetryPolicy(max_attempts=args.retries + 1),
+        checkpoint=journal,
+        watchdog=watchdog,
+        quarantine=QuarantinePolicy(max_crashes=args.max_crashes),
+        fault_plan=fault_plan,
+        tracer=tracer,
+        backend=create_backend(args.backend),
+    )
+
+
 def cmd_sweep(args) -> int:
     if args.smoke:
         # tiny end-to-end exercise of the engine (CI's 60-second budget)
@@ -300,19 +330,6 @@ def cmd_sweep(args) -> int:
                 Path(args.checkpoint_dir) / f"{sweep_name}-series"
             )
             tracer = EventTracer()
-    fault_plan = None
-    if args.inject_faults:
-        fault_plan = FaultPlan.load(args.inject_faults)
-        print(
-            f"chaos: injecting {len(fault_plan)} fault(s) "
-            f"from {args.inject_faults}",
-            file=sys.stderr,
-        )
-    watchdog = None
-    if args.no_progress_timeout is not None:
-        watchdog = WatchdogPolicy(
-            no_progress_timeout=args.no_progress_timeout
-        )
     jobs = [
         Job(benchmark, mechanism, config, input_set=args.input_set,
             telemetry_dir=telemetry_dir)
@@ -341,17 +358,7 @@ def cmd_sweep(args) -> int:
             client, jobs, progress=progress, timeout=deadline
         )
     else:
-        engine = ExecutionEngine(
-            jobs=args.jobs,
-            timeout=args.timeout,
-            retry=RetryPolicy(max_attempts=args.retries + 1),
-            checkpoint=journal,
-            watchdog=watchdog,
-            quarantine=QuarantinePolicy(max_crashes=args.max_crashes),
-            fault_plan=fault_plan,
-            tracer=tracer,
-            backend=create_backend(args.backend),
-        )
+        engine = _build_engine(args, journal, tracer)
         try:
             with GracefulDrain() as drain:
                 report = engine.run(
@@ -368,56 +375,28 @@ def cmd_sweep(args) -> int:
         "NotRun", "sweep interrupted before this cell ran", transient=True
     )
 
-    def result_of(benchmark: str, mechanism: str):
+    def outcome_of(benchmark: str, mechanism: str) -> JobResult:
         outcome = cells.get((benchmark, mechanism))
-        if outcome is None:  # abandoned by a drain/abort before launch
-            return FailedResult(_not_run)
+        if outcome is None:  # abandoned by a drain before launch
+            job = Job(benchmark, mechanism, config, input_set=args.input_set)
+            return JobResult(job, "failed", failure=_not_run, attempts=0)
+        return outcome
+
+    def result_of(benchmark: str, mechanism: str):
+        outcome = outcome_of(benchmark, mechanism)
         return (
             outcome.result if outcome.ok else FailedResult(outcome.failure)
         )
 
-    def cell_retry_schedule(benchmark: str, mechanism: str):
-        """(attempts, backoff seconds) for the export row, or nulls."""
-        outcome = cells.get((benchmark, mechanism))
-        if outcome is None:
-            return None, None
-        return outcome.attempts, round(outcome.backoff_total, 6)
-
-    def cell_provenance(benchmark: str, mechanism: str):
-        """(executor, host, queue seconds) for the export row, or nulls.
-
-        Stays null for cells resumed from journals written before
-        backends existed, and for FAILED cells (the export layer drops
-        provenance on failures regardless).
-        """
-        outcome = cells.get((benchmark, mechanism))
-        if outcome is None:
-            return None, None, None
-        return outcome.executor, outcome.host, outcome.queue_seconds
-
-    def cell_series_file(benchmark: str, mechanism: str):
-        """Recompute the worker's deterministic series path (if recorded)."""
-        outcome = cells.get((benchmark, mechanism))
-        if telemetry_dir is None or outcome is None:
-            return None
-        path = series_path(telemetry_dir, benchmark, mechanism,
-                           args.input_set, outcome.job.key())
-        return str(path) if path.exists() else None
-
-    def cell_policy(benchmark: str, mechanism: str):
-        """(policy, params) from the cell's own job config, or nulls.
-
-        Read from the job rather than the sweep config so rows resumed
-        from journals predating the policy subsystem export null (their
-        dict-shaped configs carry no throttle_policy), mirroring the
-        provenance columns.
-        """
-        outcome = cells.get((benchmark, mechanism))
-        cell_config = outcome.job.config if outcome is not None else config
-        policy = getattr(cell_config, "throttle_policy", None)
-        if policy is None:
-            return None, None
-        return policy, getattr(cell_config, "policy_params", "")
+    def export_of(benchmark: str, mechanism: str) -> dict:
+        """The cell's export row, with its series file if one was recorded."""
+        outcome = outcome_of(benchmark, mechanism)
+        series_file = None
+        if telemetry_dir is not None:
+            path = series_path(telemetry_dir, benchmark, mechanism,
+                               args.input_set, outcome.job.key())
+            series_file = str(path) if path.exists() else None
+        return export_row(journal_record(outcome), series_file=series_file)
 
     baselines = {b: result_of(b, "baseline") for b in benchmarks}
     export_records = []
@@ -425,28 +404,10 @@ def cmd_sweep(args) -> int:
     for bench in benchmarks:
         cells_row = [bench]
         base = baselines[bench]
-        attempts, backoff = cell_retry_schedule(bench, "baseline")
-        executor, host, queued = cell_provenance(bench, "baseline")
-        policy, policy_params = cell_policy(bench, "baseline")
-        export_records.append(result_record(
-            bench, "baseline", base,
-            series_file=cell_series_file(bench, "baseline"),
-            attempts=attempts, backoff_seconds=backoff,
-            executor=executor, host=host, queue_seconds=queued,
-            policy=policy, policy_params=policy_params,
-        ))
+        export_records.append(export_of(bench, "baseline"))
         for mechanism in mechanisms:
             result = result_of(bench, mechanism)
-            attempts, backoff = cell_retry_schedule(bench, mechanism)
-            executor, host, queued = cell_provenance(bench, mechanism)
-            policy, policy_params = cell_policy(bench, mechanism)
-            export_records.append(result_record(
-                bench, mechanism, result,
-                series_file=cell_series_file(bench, mechanism),
-                attempts=attempts, backoff_seconds=backoff,
-                executor=executor, host=host, queue_seconds=queued,
-                policy=policy, policy_params=policy_params,
-            ))
+            export_records.append(export_of(bench, mechanism))
             if is_failed(result) or is_failed(base):
                 cells_row.append(str(result if is_failed(result) else base))
                 continue
@@ -559,29 +520,7 @@ def cmd_serve(args) -> int:
             Path(args.checkpoint_dir)
             / f"{args.store}-engine.events.jsonl"
         )
-    fault_plan = None
-    if args.inject_faults:
-        fault_plan = FaultPlan.load(args.inject_faults)
-        print(
-            f"chaos: injecting {len(fault_plan)} fault(s) "
-            f"from {args.inject_faults}",
-            file=sys.stderr,
-        )
-    watchdog = None
-    if args.no_progress_timeout is not None:
-        watchdog = WatchdogPolicy(
-            no_progress_timeout=args.no_progress_timeout
-        )
-    engine = ExecutionEngine(
-        jobs=args.jobs,
-        timeout=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries + 1),
-        checkpoint=journal,
-        watchdog=watchdog,
-        quarantine=QuarantinePolicy(max_crashes=args.max_crashes),
-        fault_plan=fault_plan,
-        backend=create_backend(args.backend),
-    )
+    engine = _build_engine(args, journal)
     server = SimulationServer(
         engine,
         policy=ServicePolicy(
@@ -830,6 +769,38 @@ def cmd_train_policy(args) -> int:
     return 0
 
 
+def _engine_options(p) -> None:
+    """Declare the engine options `sweep` and `serve` share."""
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker slots: jobs that run at once (default 1)")
+    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                   help="wall-clock limit per job (default: none)")
+    p.add_argument("--retries", type=int, default=2, metavar="N",
+                   help="retries per job for transient failures (default 2)")
+    p.add_argument("--no-progress-timeout", type=float, default=None,
+                   metavar="SECONDS",
+                   help="watchdog: kill a worker that sends no heartbeat "
+                        "for this long (distinguishes hung workers from "
+                        "slow ones; default: off)")
+    p.add_argument("--max-crashes", type=int, default=3, metavar="N",
+                   help="quarantine a job after it crashes its worker N "
+                        "times, counted across resumes (0 disables; "
+                        "default 3)")
+    p.add_argument("--inject-faults", metavar="PLAN.json", default=None,
+                   help="chaos testing: deterministically inject the "
+                        "worker/journal/engine faults described in "
+                        "PLAN.json (see FaultPlan)")
+    p.add_argument("--backend", default="local", choices=list(BACKEND_NAMES),
+                   help="executor backend: 'local' fork-pool workers "
+                        "(default) or 'subprocess', a pool of --jobs "
+                        "persistent stdio workers; both share one "
+                        "checkpoint journal, so a journal can resume on "
+                        "the other backend")
+    p.add_argument("--checkpoint-dir", default=".repro-checkpoints",
+                   metavar="DIR",
+                   help="where journals live (default .repro-checkpoints/)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -884,19 +855,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanisms", nargs="+")
     p.add_argument("--export", metavar="FILE.csv|FILE.json",
                    help="dump raw per-run metrics")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes to run in parallel (default 1)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="wall-clock limit per job (default: none)")
-    p.add_argument("--retries", type=int, default=2, metavar="N",
-                   help="retries per job for transient failures (default 2)")
+    _engine_options(p)
     p.add_argument("--resume", action="store_true",
                    help="skip jobs already completed in the checkpoint "
                         "journal; re-run only missing/failed ones")
-    p.add_argument("--checkpoint-dir", default=".repro-checkpoints",
-                   metavar="DIR",
-                   help="where sweep journals live (default "
-                        ".repro-checkpoints/)")
     p.add_argument("--sweep-name", default=None, metavar="NAME",
                    help="journal name (default: hash of the sweep matrix)")
     p.add_argument("--smoke", action="store_true",
@@ -908,33 +870,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "export rows gain a series_file pointer) plus the "
                         "engine's own retry/quarantine/watchdog event "
                         "trace (<sweep>-engine.events.jsonl)")
-    p.add_argument("--no-progress-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="watchdog: kill a worker that sends no heartbeat "
-                        "for this long (distinguishes hung workers from "
-                        "slow ones; default: off)")
-    p.add_argument("--max-crashes", type=int, default=3, metavar="N",
-                   help="quarantine a job after it crashes its worker N "
-                        "times, counted across resumes (0 disables; "
-                        "default 3)")
     p.add_argument("--retry-poisoned", action="store_true",
                    help="re-admit quarantined jobs with a fresh crash "
                         "budget (use with --resume)")
-    p.add_argument("--inject-faults", metavar="PLAN.json", default=None,
-                   help="chaos testing: deterministically inject the "
-                        "worker/journal/engine faults described in "
-                        "PLAN.json (see FaultPlan)")
     p.add_argument("--server", metavar="URL", default=None,
                    help="run the sweep through a `repro serve` instance "
                         "instead of a local engine; identical cells are "
                         "served from the server's content-addressed "
                         "result cache without re-execution")
-    p.add_argument("--backend", default="local", choices=list(BACKEND_NAMES),
-                   help="executor backend: 'local' fork-pool workers "
-                        "(default) or 'subprocess', a pool of --jobs "
-                        "persistent stdio workers; both share one "
-                        "checkpoint journal, so a sweep can resume on "
-                        "the other backend")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -951,23 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result-store journal name under the checkpoint "
                         "dir (default 'service'); never cleared — cached "
                         "results survive server restarts")
-    p.add_argument("--checkpoint-dir", default=".repro-checkpoints",
-                   metavar="DIR",
-                   help="where the store journal lives (default "
-                        ".repro-checkpoints/)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker slots: jobs that run at once (default 1)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="wall-clock limit per job (default: none)")
-    p.add_argument("--retries", type=int, default=2, metavar="N",
-                   help="retries per job for transient failures (default 2)")
-    p.add_argument("--no-progress-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="watchdog: kill a worker that sends no heartbeat "
-                        "for this long (default: off)")
-    p.add_argument("--max-crashes", type=int, default=3, metavar="N",
-                   help="quarantine a job after N worker crashes "
-                        "(0 disables; default 3)")
+    _engine_options(p)
     p.add_argument("--max-queue", type=int, default=64, metavar="N",
                    help="queued jobs before submissions get 429 "
                         "(default 64)")
@@ -979,12 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record per-interval series for executed cells "
                         "(served at GET /jobs/<key>/series) and dump the "
                         "engine/service event log at shutdown")
-    p.add_argument("--inject-faults", metavar="PLAN.json", default=None,
-                   help="chaos testing: inject worker/journal/engine "
-                        "faults into the service's engine")
-    p.add_argument("--backend", default="local", choices=list(BACKEND_NAMES),
-                   help="executor backend the service's engine dispatches "
-                        "through (default local)")
     p.add_argument("--debug", action="store_true",
                    help="print full tracebacks instead of one-line errors")
     p.set_defaults(func=cmd_serve)

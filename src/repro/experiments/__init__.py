@@ -1,9 +1,13 @@
-"""Experiment harness: mechanism presets, runners, metrics, reporting."""
+"""Experiment harness: mechanism presets, runners, metrics, reporting.
+
+The export (:func:`export_row`, :func:`write_json`, :func:`write_csv`)
+maps a settled job's journal record onto the :data:`FIELDS` columns.
+"""
 
 from repro.experiments.configs import MECHANISMS, Mechanism, get_mechanism
 from repro.experiments.export import (
-    result_record,
-    sweep_records,
+    FIELDS,
+    export_row,
     write_csv,
     write_json,
 )
@@ -38,6 +42,7 @@ from repro.experiments.suites import (
 )
 
 __all__ = [
+    "FIELDS",
     "MECHANISMS",
     "Mechanism",
     "OUTLIER",
@@ -47,6 +52,7 @@ __all__ = [
     "clear_caches",
     "coverage_rows",
     "delta_rows",
+    "export_row",
     "format_bars",
     "format_table",
     "geomean",
@@ -60,13 +66,11 @@ __all__ = [
     "pct",
     "profile_benchmark",
     "profiler_config",
-    "result_record",
     "run_benchmark",
     "run_multicore",
     "side_by_side",
     "summary_line",
     "sweep",
-    "sweep_records",
     "total_bus_traffic_per_ki",
     "weighted_speedup",
     "write_csv",

@@ -12,7 +12,11 @@ this package executes that matrix the way a production sweep must run:
   sweep resumes with only the missing jobs (keyed by a content hash of
   the job's benchmark, mechanism, and full config); records are
   CRC32-framed and a damaged journal — torn writes, mid-file bit rot —
-  salvages instead of poisoning the resume;
+  salvages instead of poisoning the resume.  The checkpoint module owns
+  the settled-job record: :func:`journal_record` writes it,
+  :func:`result_from_record` reads it back, and :func:`serves` decides
+  whether it stands or the job re-runs — for resume, the job service and
+  the export alike;
 * a heartbeat watchdog (:class:`WatchdogPolicy`) that tells hung workers
   from slow ones, poison-job quarantine (:class:`QuarantinePolicy`) for
   jobs that keep killing their worker, and graceful SIGTERM/SIGINT
@@ -53,6 +57,8 @@ from repro.experiments.engine.checkpoint import (
     JournalSalvage,
     journal_record,
     record_content_hash,
+    result_from_record,
+    serves,
 )
 from repro.experiments.engine.executor import ExecutionEngine, SweepReport
 from repro.experiments.engine.feed import JobFeed
@@ -109,5 +115,7 @@ __all__ = [
     "is_failed",
     "journal_record",
     "record_content_hash",
+    "result_from_record",
+    "serves",
     "snapshot_metrics",
 ]

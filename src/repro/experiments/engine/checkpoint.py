@@ -18,6 +18,12 @@ v1 lines (pre-CRC journals) still load, flagged as legacy.
 atomically rewrites the journal to one checksummed record per key (last
 outcome wins), dropping damage and superseded retries.  Both are exposed
 as ``repro journal`` subcommands.
+
+This module owns the settled-job record: :func:`journal_record` writes
+it, :func:`result_from_record` reads it back into a :class:`JobResult`,
+and :func:`serves` decides whether it stands for its job or the job runs
+again.  Resume, the job service, ``repro sweep --server`` and the export
+all go through these three.
 """
 
 from __future__ import annotations
@@ -34,7 +40,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import CheckpointError
-from repro.experiments.engine.job import JobResult, snapshot_metrics
+from repro.experiments.engine.job import (
+    Job,
+    JobFailure,
+    JobResult,
+    ResultSnapshot,
+    snapshot_metrics,
+)
 
 try:  # POSIX advisory locks for concurrent journal writers
     import fcntl
@@ -69,8 +81,9 @@ def journal_record(outcome: JobResult) -> dict:
     """The JSON-safe journal record for one terminal job outcome.
 
     This is the one shape a settled job takes at rest: the journal
-    appends it, resume replays it, and the service's result store serves
-    it — so building it lives in exactly one place.
+    appends it, resume replays it, the service's result store serves it
+    and the export maps it onto its columns — so building it lives in
+    exactly one place.
     """
     job = outcome.job
     record = {
@@ -114,6 +127,65 @@ def journal_record(outcome: JobResult) -> dict:
         if outcome.failure.poison:
             record["error"]["poison"] = True
     return record
+
+
+def failure_from_record(record: dict) -> Optional[JobFailure]:
+    """The failure a settled record carries; None for a success."""
+    if record.get("status") == "ok":
+        return None
+    error = record.get("error") or {}
+    return JobFailure(
+        error_type=str(error.get("type", "JobError")),
+        message=str(error.get("message", "")),
+        transient=bool(error.get("transient", False)),
+        poison=bool(error.get("poison", False)),
+    )
+
+
+def result_from_record(
+    job: Job, record: dict, resumed: bool = True
+) -> JobResult:
+    """The outcome a settled record describes: :func:`journal_record`'s
+    inverse, so ``journal_record`` of the result gives the record back.
+
+    Resume replays journal records through it, and ``repro sweep
+    --server`` the records the service answers with, so a cell reads the
+    same whichever route settled it.  *resumed* marks an outcome that
+    was not executed this time.
+    """
+    failure = failure_from_record(record)
+    return JobResult(
+        job,
+        "ok" if failure is None else "failed",
+        result=(
+            ResultSnapshot(record.get("metrics") or {})
+            if failure is None
+            else None
+        ),
+        failure=failure,
+        attempts=int(record.get("attempts", 1)),
+        duration=float(record.get("duration", 0.0)),
+        backoff_total=float(record.get("backoff_seconds", 0.0)),
+        crashes=int(record.get("crashes", 0) or 0),
+        resumed=resumed,
+        executor=record.get("executor"),
+        host=record.get("host"),
+        queue_seconds=record.get("queue_seconds"),
+    )
+
+
+def serves(record: Optional[dict], retry_poisoned: bool = False) -> bool:
+    """Whether a settled record stands for its job instead of a re-run.
+
+    A success always does.  A quarantined (poisoned) failure does unless
+    *retry_poisoned* re-admits the job, so a known worker-killer burns
+    no further worker.  Any other failure never does: the job runs
+    again.  Resume and the job service both decide by this rule.
+    """
+    if not record:
+        return False
+    failure = failure_from_record(record)
+    return failure is None or (failure.poison and not retry_poisoned)
 
 
 def _canonical(data: dict) -> bytes:

@@ -65,15 +65,12 @@ from repro.experiments.engine.backends.local import LocalBackend
 from repro.experiments.engine.checkpoint import (
     CheckpointJournal,
     JournalSalvage,
+    result_from_record,
+    serves,
 )
 from repro.experiments.engine.faults import FaultPlan, journal_mutator
 from repro.experiments.engine.feed import JobFeed
-from repro.experiments.engine.job import (
-    Job,
-    JobFailure,
-    JobResult,
-    ResultSnapshot,
-)
+from repro.experiments.engine.job import Job, JobFailure, JobResult
 from repro.experiments.engine.retry import QuarantinePolicy, RetryPolicy
 from repro.experiments.engine.supervise import GracefulDrain, WatchdogPolicy
 from repro.experiments.engine.worker import default_worker
@@ -334,8 +331,8 @@ class ExecutionEngine:
             record = prior.get(key)
         if state.keep:
             state.report.order.append(key)
-        outcome = self._replay(job, record, retry_poisoned)
-        if outcome is not None:
+        if serves(record, retry_poisoned):
+            outcome = result_from_record(job, record)
             if state.keep:
                 state.report.results[key] = outcome
             if state.progress is not None:
@@ -343,52 +340,13 @@ class ExecutionEngine:
             return
         crashes = 0
         if record is not None and not retry_poisoned:
-            crashes = int(record.get("crashes", 0) or 0)
+            # a failure that re-runs keeps the worker deaths it caused
+            crashes = result_from_record(job, record).crashes
         state.inflight.add(key)
         state.traces[job.benchmark, job.input_set] += 1
         state.pending.append(
             _Attempt(job, crashes=crashes, enqueued=time.monotonic())
         )
-
-    def _replay(
-        self, job: Job, record: Optional[dict], retry_poisoned: bool
-    ) -> Optional[JobResult]:
-        """A resumed JobResult for *record*, or None to (re-)execute."""
-        if record is None:
-            return None
-        if record.get("status") == "ok":
-            return JobResult(
-                job,
-                "ok",
-                result=ResultSnapshot(record.get("metrics") or {}),
-                attempts=int(record.get("attempts", 1)),
-                duration=float(record.get("duration", 0.0)),
-                backoff_total=float(record.get("backoff_seconds", 0.0)),
-                crashes=int(record.get("crashes", 0) or 0),
-                resumed=True,
-                executor=record.get("executor"),
-                host=record.get("host"),
-                queue_seconds=record.get("queue_seconds"),
-            )
-        error = record.get("error") or {}
-        if error.get("poison") and not retry_poisoned:
-            # quarantined: replay the failure, do not burn another worker
-            return JobResult(
-                job,
-                "failed",
-                failure=JobFailure(
-                    error_type=str(error.get("type", "PoisonJobError")),
-                    message=str(error.get("message", "")),
-                    transient=False,
-                    poison=True,
-                ),
-                attempts=int(record.get("attempts", 1)),
-                duration=float(record.get("duration", 0.0)),
-                backoff_total=float(record.get("backoff_seconds", 0.0)),
-                crashes=int(record.get("crashes", 0) or 0),
-                resumed=True,
-            )
-        return None
 
     # -- scheduling --------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 The bench harness prints paper-shaped tables; this module serves users
 who want the raw numbers — spreadsheets, notebooks, regression tracking
-across library versions.
+across library versions.  A row is a settled job's journal record
+mapped onto :data:`FIELDS` (:func:`export_row`).
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
-from repro.core.stats import CoreResult
-from repro.experiments.engine import is_failed
+from repro.experiments.engine.checkpoint import failure_from_record
+from repro.experiments.engine.job import ResultSnapshot
 
 PathLike = Union[str, Path]
 
@@ -45,20 +46,13 @@ FIELDS = [
 ]
 
 
-def result_record(
-    benchmark: str,
-    mechanism: str,
-    result: CoreResult,
-    series_file: Union[str, None] = None,
-    attempts: Union[int, None] = None,
-    backoff_seconds: Union[float, None] = None,
-    executor: Union[str, None] = None,
-    host: Union[str, None] = None,
-    queue_seconds: Union[float, None] = None,
-    policy: Union[str, None] = None,
-    policy_params: Union[str, None] = None,
-) -> Dict:
-    """Flatten one run's metrics into an export row.
+def export_row(record: Dict, series_file: Optional[str] = None) -> Dict:
+    """Map one settled job's journal record onto :data:`FIELDS`.
+
+    The record is :func:`~repro.experiments.engine.checkpoint.
+    journal_record`'s, so a cell exports the same row whether it ran
+    here, was resumed from the journal or came back from ``repro sweep
+    --server``.
 
     A failed run exports with ``status`` carrying the failure reason,
     ``error_type`` naming the exception class, and every metric column
@@ -66,20 +60,22 @@ def result_record(
     explicitly instead of a silently missing row.
 
     ``attempts`` and ``backoff_seconds`` surface the engine's retry
-    schedule (how many launches the cell took and how long backoff
-    delayed it); they stay null for runs outside the sweep engine.
+    schedule: how many launches the cell took and how long backoff
+    delayed it.  The journal leaves a zero backoff out, and the row says
+    ``0.0``.  A record of zero attempts is a cell that never ran (a
+    drain stopped the sweep first), and both columns stay null.
 
     ``executor``, ``host``, and ``queue_seconds`` are execution
     provenance: which backend ran the cell, on which host, and how long
-    it sat queued for a free slot.  They stay null for runs outside the
-    sweep engine, for journals written before backends existed, and —
-    deliberately — for FAILED rows, where no attempt is *the* one that
-    produced the cell.
+    it sat queued for a free slot.  The journal keeps them for
+    successful runs only, so they stay null for FAILED rows, where no
+    attempt is *the* one that produced the cell, and for journals
+    written before backends existed.
 
     ``series_file`` optionally points at the per-interval telemetry
     series recorded for this cell (sweeps run with ``--telemetry``
     persist one file per cell beside the checkpoint journal); it stays
-    null for runs without telemetry.
+    null for failed rows and runs without telemetry.
 
     ``policy`` and ``policy_params`` record which throttling policy
     (``repro.policy``) governed the run.  Unlike the provenance trio
@@ -88,56 +84,43 @@ def result_record(
     existed.  Failed rows keep them — the policy was still part of what
     was asked for.
     """
-    if is_failed(result):
-        failure = getattr(result, "failure", None)
-        reason = getattr(result, "reason", "unknown failure")
-        record = {field: None for field in FIELDS}
-        record.update(
-            benchmark=benchmark, mechanism=mechanism,
-            status=f"FAILED({reason})",
-            error_type=getattr(failure, "error_type", None),
-            attempts=attempts,
-            backoff_seconds=backoff_seconds,
-            policy=policy,
-            policy_params=policy_params,
+    ran = bool(record.get("attempts"))
+    row: Dict = dict.fromkeys(FIELDS)
+    row.update(
+        benchmark=record["benchmark"],
+        mechanism=record["mechanism"],
+        attempts=record["attempts"] if ran else None,
+        backoff_seconds=record.get("backoff_seconds", 0.0) if ran else None,
+        policy=record.get("policy"),
+        policy_params=record.get("policy_params"),
+    )
+    failure = failure_from_record(record)
+    if failure is not None:
+        row.update(
+            status=f"FAILED({failure.reason})",
+            error_type=failure.error_type,
         )
-        return record
-    return {
-        "benchmark": benchmark,
-        "mechanism": mechanism,
-        "status": "ok",
-        "ipc": result.ipc,
-        "bpki": result.bpki,
-        "retired_instructions": result.retired_instructions,
-        "cycles": result.cycles,
-        "l2_demand_misses": result.l2_demand_misses,
-        "bus_transfers": result.bus_transfers,
-        "cdp_accuracy": result.accuracy("cdp"),
-        "cdp_coverage": result.coverage("cdp"),
-        "stream_accuracy": result.accuracy("stream"),
-        "stream_coverage": result.coverage("stream"),
-        "intervals_completed": getattr(result, "intervals_completed", None),
-        "attempts": attempts,
-        "backoff_seconds": backoff_seconds,
-        "executor": executor,
-        "host": host,
-        "queue_seconds": queue_seconds,
-        "error_type": None,
-        "series_file": series_file,
-        "policy": policy,
-        "policy_params": policy_params,
-    }
-
-
-def sweep_records(
-    per_mechanism: Dict[str, Dict[str, CoreResult]]
-) -> List[Dict]:
-    """Flatten a suites.sweep() result into export rows."""
-    return [
-        result_record(benchmark, mechanism, result)
-        for mechanism, per_bench in per_mechanism.items()
-        for benchmark, result in per_bench.items()
-    ]
+        return row
+    result = ResultSnapshot(record.get("metrics"))
+    row.update(
+        status="ok",
+        ipc=result.ipc,
+        bpki=result.bpki,
+        retired_instructions=result.retired_instructions,
+        cycles=result.cycles,
+        l2_demand_misses=result.l2_demand_misses,
+        bus_transfers=result.bus_transfers,
+        cdp_accuracy=result.accuracy("cdp"),
+        cdp_coverage=result.coverage("cdp"),
+        stream_accuracy=result.accuracy("stream"),
+        stream_coverage=result.coverage("stream"),
+        intervals_completed=result.intervals_completed,
+        executor=record.get("executor"),
+        host=record.get("host"),
+        queue_seconds=record.get("queue_seconds"),
+        series_file=series_file,
+    )
+    return row
 
 
 def write_json(path: PathLike, records: List[Dict]) -> None:

@@ -23,6 +23,12 @@ design:
   quotas turn overload into HTTP 429 (:class:`~repro.errors.
   ServiceBusyError` client-side), never an unbounded backlog.
 
+A settled job is a journal record, owned by
+:mod:`repro.experiments.engine.checkpoint`: the server serves a stored
+record by the resume rule there (``serves``), and :func:`run_jobs` reads
+the records it fetches back with ``result_from_record``, so a
+``--server`` sweep reports and exports the same cells a local one does.
+
 Serve with ``repro serve``; point ``repro sweep --server URL`` (or
 :func:`run_jobs`) at it.
 """
@@ -32,7 +38,6 @@ from repro.service.protocol import (
     PRESETS,
     SUBMISSION_FIELDS,
     job_from_submission,
-    result_from_record,
     submission_from_job,
 )
 from repro.service.server import (
@@ -55,7 +60,6 @@ __all__ = [
     "ServicePolicy",
     "SimulationServer",
     "job_from_submission",
-    "result_from_record",
     "run_jobs",
     "serve_forever",
     "start_server_thread",

@@ -29,13 +29,10 @@ from typing import Any, Callable, Dict, List, Optional
 from urllib.parse import urlsplit
 
 from repro.errors import ServiceBusyError, ServiceError
+from repro.experiments.engine.checkpoint import result_from_record
 from repro.experiments.engine.executor import SweepReport
 from repro.experiments.engine.job import Job, JobResult
-from repro.service.protocol import (
-    ABANDONED,
-    result_from_record,
-    submission_from_job,
-)
+from repro.service.protocol import ABANDONED, submission_from_job
 
 #: submission payload statuses that mean "the record is final"
 TERMINAL_STATUSES = ("done", "failed")

@@ -24,12 +24,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.config import SystemConfig
 from repro.errors import ConfigError, UsageError
-from repro.experiments.engine.job import (
-    Job,
-    JobFailure,
-    JobResult,
-    ResultSnapshot,
-)
+from repro.experiments.engine.job import Job
 
 #: top-level fields a submission may carry; anything else is a 400
 SUBMISSION_FIELDS = frozenset(
@@ -157,49 +152,3 @@ def submission_from_job(job: Job) -> Dict[str, Any]:
         "input_set": job.input_set,
         "profile_input": job.profile_input,
     }
-
-
-def result_from_record(
-    job: Job, record: Dict[str, Any], resumed: bool = False
-) -> JobResult:
-    """Rehydrate a journal-shaped service record into a JobResult.
-
-    The client-side inverse of
-    :func:`~repro.experiments.engine.checkpoint.journal_record`: the
-    sweep CLI uses it to render server results through the exact same
-    reporting path as a local engine run.
-    """
-    attempts = int(record.get("attempts", 1))
-    duration = float(record.get("duration", 0.0))
-    backoff = float(record.get("backoff_seconds", 0.0))
-    crashes = int(record.get("crashes", 0) or 0)
-    if record.get("status") == "ok":
-        return JobResult(
-            job,
-            "ok",
-            result=ResultSnapshot(record.get("metrics") or {}),
-            attempts=attempts,
-            duration=duration,
-            backoff_total=backoff,
-            crashes=crashes,
-            resumed=resumed,
-            executor=record.get("executor"),
-            host=record.get("host"),
-            queue_seconds=record.get("queue_seconds"),
-        )
-    error = record.get("error") or {}
-    return JobResult(
-        job,
-        "failed",
-        failure=JobFailure(
-            error_type=str(error.get("type", "JobError")),
-            message=str(error.get("message", "")),
-            transient=bool(error.get("transient", False)),
-            poison=bool(error.get("poison", False)),
-        ),
-        attempts=attempts,
-        duration=duration,
-        backoff_total=backoff,
-        crashes=crashes,
-        resumed=resumed,
-    )

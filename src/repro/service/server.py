@@ -62,8 +62,9 @@ from repro.errors import (
     UsageError,
 )
 from repro.experiments.engine import GracefulDrain, JobFeed
+from repro.experiments.engine.checkpoint import journal_record, serves
 from repro.experiments.engine.executor import ExecutionEngine
-from repro.experiments.engine.job import Job, JobResult
+from repro.experiments.engine.job import Job, JobFailure, JobResult
 from repro.service.protocol import ABANDONED, job_from_submission
 from repro.service.store import ResultStore
 
@@ -107,6 +108,11 @@ _EVENT_POLL = 0.05
 
 #: the waiter topic of GET /events long-polls (job keys are hex)
 _EVENTS = "/events"
+
+
+def _settled_status(record: dict) -> str:
+    """The terminal status a job with this settled record reports."""
+    return "done" if record.get("status") == "ok" else "failed"
 
 
 @dataclass(frozen=True)
@@ -411,26 +417,19 @@ class SimulationServer:
                     "requeue", entry.job.label, requeues=entry.requeues
                 )
             else:
+                failed = JobResult(
+                    entry.job,
+                    "failed",
+                    failure=JobFailure(
+                        "ServiceError",
+                        f"job never settled after {entry.requeues} "
+                        "engine pass(es)",
+                        transient=True,
+                    ),
+                    attempts=entry.requeues,
+                )
                 self._settle_entry(
-                    entry,
-                    {
-                        "key": entry.key,
-                        "benchmark": entry.job.benchmark,
-                        "mechanism": entry.job.mechanism,
-                        "input_set": entry.job.input_set,
-                        "status": "failed",
-                        "attempts": entry.requeues,
-                        "duration": 0.0,
-                        "error": {
-                            "type": "ServiceError",
-                            "message": (
-                                "job never settled after "
-                                f"{entry.requeues} engine pass(es)"
-                            ),
-                            "transient": True,
-                        },
-                    },
-                    cached=False,
+                    entry, journal_record(failed), cached=False
                 )
         self._pending.extendleft(reversed(requeued))
 
@@ -439,7 +438,7 @@ class SimulationServer:
     ) -> None:
         entry.record = record
         entry.cached = cached
-        entry.status = "done" if record.get("status") == "ok" else "failed"
+        entry.status = _settled_status(record)
         self.stats["settled"] += 1
         for client in entry.clients:
             self._client_pending[client].discard(entry.key)
@@ -466,17 +465,17 @@ class SimulationServer:
         entry = self._entries.get(key)
         # terminal entry or stored record that resume semantics serve
         if entry is not None and entry.record is not None:
-            if self.store.serves(entry.record):
+            if serves(entry.record):
                 self.stats["cache_hits"] += 1
                 self._emit("cache-hit", job.label, key=key, client=client)
                 return 200, self._entry_payload(entry, cached=True)
         elif entry is None:
             record = self.store.get(key)
-            if self.store.serves(record):
+            if serves(record):
                 self.stats["cache_hits"] += 1
-                entry = JobEntry(job, key, record=record, cached=True)
-                entry.status = (
-                    "done" if record.get("status") == "ok" else "failed"
+                entry = JobEntry(
+                    job, key, status=_settled_status(record),
+                    record=record, cached=True,
                 )
                 self._entries[key] = entry
                 self._emit("cache-hit", job.label, key=key, client=client)
@@ -809,7 +808,7 @@ class SimulationServer:
             "label": (
                 f"{record.get('benchmark')}/{record.get('mechanism')}"
             ),
-            "status": "done" if record.get("status") == "ok" else "failed",
+            "status": _settled_status(record),
             "cached": True,
             "record": record,
         }

@@ -9,14 +9,10 @@ served cache cannot disagree about what a record *says*, only about
 whether a torn write made it durable (in which case the resume path
 re-runs that one cell, exactly as a direct-engine chaos run would).
 
-Serving policy mirrors the engine's resume semantics precisely:
-
-* ``ok`` records are served from the store, never re-executed;
-* ``failed`` records with the poison flag (quarantined worker-killers)
-  are served as failures — resubmission does not burn another worker;
-* other ``failed`` records are *not* served: resubmitting a transient
-  failure re-executes it, the same way ``--resume`` retries failed
-  journal records.
+Whether a stored record is served or its job re-runs is the engine's
+resume rule, :func:`~repro.experiments.engine.checkpoint.serves`: ``ok``
+records and quarantined (poisoned) failures are served, and any other
+failure re-executes on resubmission, the way ``--resume`` retries it.
 """
 
 from __future__ import annotations
@@ -63,21 +59,6 @@ class ResultStore:
         """The settled record for *key*, or None."""
         with self._lock:
             return self._records.get(key)
-
-    @staticmethod
-    def serves(record: Optional[dict], retry_poisoned: bool = False) -> bool:
-        """Should this record be served instead of re-executing the job?
-
-        The exact criterion the engine's resume path uses: successes
-        always; poisoned failures unless explicitly re-admitted;
-        ordinary failures never (they re-run).
-        """
-        if not record:
-            return False
-        if record.get("status") == "ok":
-            return True
-        error = record.get("error") or {}
-        return bool(error.get("poison")) and not retry_poisoned
 
     def absorb(self, outcome: JobResult) -> dict:
         """Fold one settled outcome into the cache; returns its record.

@@ -8,8 +8,9 @@ graded throttling, and driven by accuracy alone (no coverage term).
 The paper reports this loses 11 % average performance on their benchmarks
 precisely because a low-coverage-but-accurate prefetcher can win the
 selection while the prefetcher actually covering misses is disabled.  Our
-implementation drives prefetcher ``enabled`` flags, which the core model
-honours before issuing any requests.
+implementation keeps the on/off flags in :attr:`GendlerSelector.enabled`;
+both engines ask :meth:`GendlerSelector.is_enabled` before issuing a
+prefetcher's requests (and before CDP scans a fill).
 """
 
 from __future__ import annotations

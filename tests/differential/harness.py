@@ -58,6 +58,7 @@ def capture(
     telemetry=None,
     store=None,
     with_memory: bool = False,
+    hints=None,
 ) -> Dict[str, Any]:
     """Run one cell under ``config.engine`` and snapshot every statistic.
 
@@ -65,9 +66,16 @@ def capture(
     :class:`repro.telemetry.CoreTelemetry` stream into the build, so
     telemetry-on runs can be snapshot-compared against plain ones (they
     must be bit-identical — recording must never perturb simulation).
+    ``hints``, a :class:`repro.compiler.hints.HintTable`, replaces the
+    profiled table of a hinted mechanism, and nothing is profiled.
     """
     mech = get_mechanism(mechanism)
-    hint_filter = hint_filter_for(mech, benchmark, config, profile_input, store)
+    if hints is not None:
+        hint_filter = hints.allows
+    else:
+        hint_filter = hint_filter_for(
+            mech, benchmark, config, profile_input, store
+        )
     instance = workload_instance(benchmark, input_set, store)
     dram = make_dram(config, n_cores=1)
     core = build_core(mech, config, instance, dram, hint_filter,

@@ -45,7 +45,7 @@ from repro.experiments.engine.backends import (
     worker_reference,
 )
 from repro.experiments.engine.worker import serve_stdio
-from repro.experiments.export import result_record
+from repro.experiments.export import export_row
 from repro.service.client import ServiceClient
 from repro.telemetry import EventTracer
 
@@ -363,26 +363,22 @@ class TestProvenanceExport:
         finally:
             engine.close()
         outcome = report.ok[0]
-        row = result_record(
-            "alpha", "m1", outcome.result,
-            executor=outcome.executor, host=outcome.host,
-            queue_seconds=outcome.queue_seconds,
-        )
+        record = journal_record(outcome)
+        row = export_row(record)
         assert row["executor"] == "subprocess"
         assert row["queue_seconds"] is not None
         # journal records round-trip the same columns
-        record = journal_record(outcome)
         assert record["executor"] == "subprocess"
         assert "queue_seconds" in record
 
     def test_failed_rows_keep_provenance_null(self):
-        from repro.experiments.engine import FailedResult, JobFailure
+        from repro.experiments.engine import JobFailure, JobResult
 
-        row = result_record(
-            "alpha", "m1",
-            FailedResult(JobFailure("JobError", "boom")),
+        row = export_row(journal_record(JobResult(
+            Job("alpha", "m1"), "failed",
+            failure=JobFailure("JobError", "boom"),
             executor="subprocess", host="somewhere", queue_seconds=1.0,
-        )
+        )))
         assert row["status"].startswith("FAILED")
         assert row["executor"] is None
         assert row["host"] is None

@@ -461,30 +461,34 @@ class TestRetryScheduleSurfaced:
         assert record["backoff_seconds"] > 0
 
     def test_export_row_carries_schedule_and_error_type(self):
-        from repro.experiments.engine import FailedResult
+        from repro.experiments.engine import JobResult, journal_record
         from repro.experiments.engine.job import JobFailure
-        from repro.experiments.export import FIELDS, result_record
+        from repro.experiments.export import FIELDS, export_row
 
-        failed = FailedResult(JobFailure("WorkerCrashError", "signal 9"))
-        record = result_record(
-            "mst", "cdp", failed, attempts=3, backoff_seconds=0.42
+        failed = JobResult(
+            Job("mst", "cdp"), "failed",
+            failure=JobFailure("WorkerCrashError", "signal 9"),
+            attempts=3, backoff_total=0.42,
         )
+        record = export_row(journal_record(failed))
         assert set(record) == set(FIELDS)
         assert record["attempts"] == 3
         assert record["backoff_seconds"] == 0.42
         assert record["error_type"] == "WorkerCrashError"
-        ok = result_record(
-            "mst", "cdp",
-            type("R", (), {
+        ok = export_row(journal_record(JobResult(
+            Job("mst", "cdp"), "ok",
+            result={
                 "ipc": 1.0, "bpki": 2.0, "retired_instructions": 10,
                 "cycles": 20, "l2_demand_misses": 1, "bus_transfers": 2,
-                "accuracy": lambda self, o: 0.5,
-                "coverage": lambda self, o: 0.5,
-            })(),
-            attempts=1, backoff_seconds=0.0,
-        )
+                "cdp_accuracy": 0.5, "cdp_coverage": 0.5,
+            },
+            attempts=1, backoff_total=0.0,
+        )))
         assert ok["error_type"] is None
         assert ok["attempts"] == 1
+        # the journal leaves a zero backoff out; a cell that ran says 0.0
+        assert ok["backoff_seconds"] == 0.0
+        assert ok["cdp_accuracy"] == 0.5
 
 
 class TestContentHash:

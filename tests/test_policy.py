@@ -15,7 +15,7 @@ from repro.core.config import SystemConfig
 from repro.errors import ConfigError
 from repro.experiments.engine.checkpoint import journal_record
 from repro.experiments.engine.job import Job, JobFailure, JobResult
-from repro.experiments.export import FIELDS, result_record
+from repro.experiments.export import FIELDS, export_row
 from repro.policy import (
     ACTIONS,
     FeedbackSignals,
@@ -240,20 +240,15 @@ def test_journal_record_carries_policy_columns():
 
 def test_export_fields_include_policy_columns():
     assert "policy" in FIELDS and "policy_params" in FIELDS
-    record = result_record(
-        "mst", "cdp", _failed_result(), policy="static",
-        policy_params="level=1",
+    config = SystemConfig.scaled().with_overrides(
+        throttle_policy="static", policy_params="level=1"
     )
+    record = export_row(journal_record(_outcome(config, status="failed")))
     assert record["policy"] == "static"
     assert record["policy_params"] == "level=1"
-    null_row = result_record("mst", "cdp", _failed_result())
+    # a journal written before policies existed has no policy columns
+    null_row = export_row(journal_record(_outcome({}, status="failed")))
     assert null_row["policy"] is None
-
-
-def _failed_result():
-    from repro.experiments.engine import FailedResult
-
-    return FailedResult(JobFailure("Boom", "boom", transient=False))
 
 
 def test_store_policy_counts(tmp_path):

@@ -19,13 +19,18 @@ import warnings
 
 import pytest
 
+from repro.errors import SweepInterrupted
 from repro.experiments.engine import (
     CheckpointJournal,
     ExecutionEngine,
     FaultPlan,
     FaultSpec,
+    JobFailure,
+    JobResult,
     QuarantinePolicy,
     RetryPolicy,
+    SweepReport,
+    journal_record,
 )
 from repro.service import (
     ResultStore,
@@ -34,6 +39,7 @@ from repro.service import (
     run_jobs,
     start_server_thread,
 )
+from repro.service.server import MAX_REQUEUES
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
 
@@ -178,6 +184,47 @@ class TestWorkerFaultsThroughServer:
         finally:
             handle.stop()
         assert journal_hashes(journal_path) == direct_hashes
+
+    def test_job_past_max_requeues_fails_with_a_journal_record(
+        self, tmp_path
+    ):
+        # every engine pass ends before its job settles, so the service
+        # requeues the job MAX_REQUEUES times and then fails it; that
+        # failure is a journal record like any the engine writes
+        engine = ExecutionEngine(
+            worker=service_worker,
+            checkpoint=CheckpointJournal(tmp_path / "svc.jsonl"),
+        )
+
+        def never_settles(feed, **kwargs):
+            # take the job, then end the pass before it settles
+            while not feed.take()[0]:
+                if feed.closed:
+                    return SweepReport()
+                feed.wait(0.05)
+            raise SweepInterrupted("injected: the pass ends unsettled")
+
+        engine.run = never_settles
+        handle = start_server_thread(engine)
+        client = ServiceClient(handle.url, client_id="requeue")
+        try:
+            key = client.submit(PAYLOADS[0])["key"]
+            assert client.wait(key, timeout=30.0)["status"] == "failed"
+            passes = MAX_REQUEUES + 1
+            expected = journal_record(JobResult(
+                job_from_submission(PAYLOADS[0]),
+                "failed",
+                failure=JobFailure(
+                    "ServiceError",
+                    f"job never settled after {passes} engine pass(es)",
+                    transient=True,
+                ),
+                attempts=passes,
+            ))
+            assert client.result(key) == expected
+            assert client.stats()["pass_aborts"] == passes
+        finally:
+            handle.stop()
 
 
 class TestJournalFaultsThroughServer:

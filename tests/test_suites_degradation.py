@@ -6,10 +6,13 @@ from repro.core.stats import CoreResult, PrefetcherResult
 from repro.experiments.engine import (
     ExecutionEngine,
     FailedResult,
+    Job,
     JobFailure,
+    JobResult,
     RetryPolicy,
+    journal_record,
 )
-from repro.experiments.export import FIELDS, result_record
+from repro.experiments.export import FIELDS, export_row
 from repro.experiments.reporting import format_table
 from repro.experiments.suites import (
     accuracy_rows,
@@ -78,13 +81,17 @@ class TestRowDegradation:
 
 class TestExportDegradation:
     def test_failed_record_has_status_and_null_metrics(self):
-        record = result_record("health", "cdp", failed_result())
+        outcome = JobResult(
+            Job("health", "cdp"), "failed", failure=failed_result().failure
+        )
+        record = export_row(journal_record(outcome))
         assert set(record) == set(FIELDS)
         assert record["status"].startswith("FAILED(JobTimeoutError")
         assert record["ipc"] is None
 
     def test_ok_record_has_ok_status(self):
-        record = result_record("mst", "cdp", ok_result())
+        outcome = JobResult(Job("mst", "cdp"), "ok", result=ok_result())
+        record = export_row(journal_record(outcome))
         assert record["status"] == "ok"
         assert set(record) == set(FIELDS)
 

@@ -9,9 +9,10 @@ when a sweep cell failed.
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.experiments.engine import FailedResult
+from repro.experiments.engine import FailedResult, Job, JobResult
+from repro.experiments.engine.checkpoint import journal_record
 from repro.experiments.engine.job import JobFailure
-from repro.experiments.export import FIELDS, result_record
+from repro.experiments.export import FIELDS, export_row
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import clear_caches, run_multicore
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -84,22 +85,31 @@ class TestExportColumns:
 
         return run_benchmark("mst", "cdp", SMALL, input_set="test")
 
+    def ok_record(self, result):
+        job = Job("mst", "cdp", SMALL, input_set="test")
+        return journal_record(JobResult(job, "ok", result=result))
+
     def test_ok_row_carries_intervals_and_series_file(self):
         result = self.make_result()
-        record = result_record("mst", "cdp", result,
-                               series_file="out/mst.series.jsonl")
+        record = export_row(self.ok_record(result),
+                            series_file="out/mst.series.jsonl")
         assert set(record) == set(FIELDS)
         assert record["intervals_completed"] == result.intervals_completed > 0
         assert record["series_file"] == "out/mst.series.jsonl"
 
     def test_ok_row_without_telemetry_has_null_series_file(self):
-        record = result_record("mst", "cdp", self.make_result())
+        record = export_row(self.ok_record(self.make_result()))
         assert record["series_file"] is None
 
     def test_failed_row_keeps_all_metrics_null(self):
-        failed = FailedResult(JobFailure("TimeoutError", "exceeded 5s"))
-        record = result_record("mst", "cdp", failed,
-                               series_file="ignored.jsonl")
+        # a cell that never ran (zero attempts), from a journal that
+        # predates the policy columns: nothing but the failure is known
+        failed = JobResult(
+            Job("mst", "cdp", {}), "failed",
+            failure=JobFailure("TimeoutError", "exceeded 5s"), attempts=0,
+        )
+        record = export_row(journal_record(failed),
+                            series_file="ignored.jsonl")
         assert record["status"] == "FAILED(TimeoutError: exceeded 5s)"
         # error_type is the one diagnostic column a failed row keeps
         assert record["error_type"] == "TimeoutError"
@@ -111,7 +121,10 @@ class TestExportColumns:
 
 class TestReportingRendersNewColumns:
     def test_format_table_with_failed_and_null_cells(self):
-        ok = result_record("mst", "cdp", None)  # None -> failed placeholder
+        failed_row = export_row(journal_record(JobResult(
+            Job("mst", "cdp"), "failed",
+            failure=JobFailure("WorkerCrash", "signal 9"),
+        )))
         failed = FailedResult(JobFailure("WorkerCrash", "signal 9"))
         headers = ["benchmark", "intervals", "series file"]
         rows = [
@@ -127,4 +140,4 @@ class TestReportingRendersNewColumns:
         # null metric cells render as the standard dash
         health = next(line for line in lines if "health" in line)
         assert health.split()[-1] == "-"
-        assert ok["status"].startswith("FAILED")
+        assert failed_row["status"].startswith("FAILED")
